@@ -1,13 +1,13 @@
 //! Multi-core scaling of the two training hot loops: parallel rollout
-//! collection (`collect_rollouts_par` over a partitioned seed schedule)
-//! and the sharded fused PPO update, each at worker counts ∈ {1, 2, 4}
-//! against the single-core baselines (`collect_rollouts_vec` and the
-//! monolithic fused update). Every arm produces deterministic bits —
-//! the parallel arms the *same* bits at every worker count (pinned by
-//! the parity suites) — so the margins here are pure scheduling/merge
-//! overhead vs parallel speedup. On a 1-core CI box the interesting
-//! number is the overhead of the worker machinery at n=1 (the inline
-//! path, which should be within noise of the baselines).
+//! collection (`collect_rollouts_par` over a partitioned seed schedule,
+//! against the single-core `collect_rollouts_vec` baseline) and the
+//! chunked PPO update (`Ppo::update`), each at worker counts ∈ {1, 2, 4}.
+//! The parallel arms produce the *same* bits at every worker count
+//! (pinned by the parity suites), so the margins here are pure
+//! scheduling/merge overhead vs parallel speedup. On a 1-core CI box the
+//! interesting number is the overhead of the worker machinery at n=1
+//! (the inline path). The update rows keep their historical
+//! `update_sharded_t*` names so the committed trend line continues.
 //!
 //! The criterion shim emits `BENCH_parallel_scaling.json` for the
 //! harness to track.
@@ -83,20 +83,13 @@ fn bench_parallel_scaling(c: &mut Criterion) {
     // One batch for the update arms (fixed across iterations).
     let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut venv, &seeds);
 
-    // Baseline: the monolithic fused update.
-    group.bench_function("update_fused_mono", |b| {
-        b.iter(|| {
-            std::hint::black_box(agent.ppo_mut().update_fused(&batch));
-        })
-    });
-
-    // Sharded fused update: fixed 64-row chunks, tree-merged gradients;
-    // identical bits at every worker count.
+    // The update: fixed 64-row chunks over the worker pool,
+    // tree-merged gradients; identical bits at every worker count.
     for &threads in &[1usize, 2, 4] {
         group.bench_function(format!("update_sharded_t{threads}"), |b| {
             b.iter(|| {
                 rayon::with_threads(threads, || {
-                    std::hint::black_box(agent.ppo_mut().update_fused_sharded(&batch));
+                    std::hint::black_box(agent.ppo_mut().update(&batch));
                 })
             })
         });

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use rlsched_bench::alloc::count_allocs;
-use rlsched_rl::{collect_episodes, collect_rollouts, Env, PpoConfig, RolloutBuffer, VecEnv};
+use rlsched_rl::{collect_rollouts_vec, Env, PpoConfig, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -37,11 +37,10 @@ fn bench_update(c: &mut Criterion) {
     let objective = agent.objective();
 
     // Collect one reusable batch of 8 x 128-step episodes.
-    let mut envs: Vec<SchedulingEnv> = (0..8)
-        .map(|_| SchedulingEnv::new(trace.clone(), 128, SimConfig::default(), encoder, objective))
-        .collect();
+    let proto = SchedulingEnv::new(trace.clone(), 128, SimConfig::default(), encoder, objective);
+    let mut venv = VecEnv::new(vec![proto.clone(); 8]);
     let seeds: Vec<u64> = (0..8).collect();
-    let (batch, _stats) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
+    let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut venv, &seeds);
 
     // Allocation profile, measured after one warm run of each path so
     // graph pools and scratch buffers are at steady state.
@@ -49,9 +48,9 @@ fn bench_update(c: &mut Criterion) {
     let update_allocs = count_allocs(|| agent.ppo_mut().update(&batch));
     let _ = agent.ppo_mut().update_tape(&batch);
     let tape_update_allocs = count_allocs(|| agent.ppo_mut().update_tape(&batch));
-    let rollout_allocs = count_allocs(|| collect_rollouts(agent.ppo(), &mut envs, &seeds));
+    let rollout_allocs = count_allocs(|| collect_rollouts_vec(agent.ppo(), &mut venv, &seeds));
     let (obs, mask) = {
-        let mut env = envs[0].clone();
+        let mut env = proto.clone();
         let (mut o, mut m) = (Vec::new(), Vec::new());
         env.reset(42, &mut o, &mut m);
         (o, m)
@@ -69,9 +68,9 @@ fn bench_update(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ppo");
     group.sample_size(10);
-    // The dispatching update (fused tape-free backward for this kernel
-    // agent) vs the pinned tape arm it replaced — the two are
-    // bit-identical in results, so the delta is pure bookkeeping.
+    // The dispatching update (fused chunk backend for this kernel agent)
+    // vs the pinned tape backend — the two are bit-identical in results,
+    // so the delta is pure bookkeeping.
     group.bench_function("update_5x5_iters_mb512", |b| {
         b.iter(|| std::hint::black_box(agent.ppo_mut().update(&batch)))
     });
@@ -81,25 +80,21 @@ fn bench_update(c: &mut Criterion) {
 
     // Lockstep batched collection (all 8 envs scored through one stacked
     // forward per tick — the path training uses) vs the per-env baseline
-    // (8 sequential single-env rollouts; bit-identical trajectories).
+    // (one env slot running the 8 episodes one after another;
+    // bit-identical trajectories).
     group.bench_function("rollout_8x128", |b| {
         b.iter(|| {
-            let (batch, _s) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
+            let (batch, _s) = collect_rollouts_vec(agent.ppo(), &mut venv, &seeds);
             std::hint::black_box(batch.len())
         })
     });
+    let mut single = VecEnv::new(vec![proto.clone()]);
     group.bench_function("rollout_8x128_perenv", |b| {
         b.iter(|| {
             // Same merged, normalized batch as the lockstep arm (the
             // parity tests pin bit-identity) — only the stepping/scoring
             // strategy differs.
-            let mut bufs = Vec::with_capacity(envs.len());
-            for (env, &seed) in envs.iter_mut().zip(&seeds) {
-                let mut venv: VecEnv<&mut SchedulingEnv> = VecEnv::new(vec![env]);
-                let (mut episode_bufs, _s) = collect_episodes(agent.ppo(), &mut venv, &[seed]);
-                bufs.append(&mut episode_bufs);
-            }
-            let batch = RolloutBuffer::into_batch(bufs);
+            let (batch, _s) = collect_rollouts_vec(agent.ppo(), &mut single, &seeds);
             std::hint::black_box(batch.len())
         })
     });
@@ -119,7 +114,7 @@ fn bench_update(c: &mut Criterion) {
         use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         use rand::SeedableRng;
-        let mut env = envs[0].clone();
+        let mut env = proto.clone();
         let (mut obs, mut mask) = (Vec::new(), Vec::new());
         b.iter(|| {
             obs.clear();

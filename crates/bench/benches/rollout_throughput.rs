@@ -1,8 +1,9 @@
 //! Rollout throughput: env-steps/sec of trajectory collection at
 //! n_envs ∈ {1, 8, 32}, comparing the lockstep **batched** path (one
 //! `VecEnv(n)`, every live env scored through one stacked forward per
-//! simulator tick) against the **per-env** path (n separate `VecEnv(1)`
-//! collections — exactly the old sequential stepping). Identical seeds,
+//! simulator tick) against the **per-env** path (one `VecEnv(1)` running
+//! the n episodes one after another — exactly the old sequential
+//! stepping). Identical seeds,
 //! identical trajectories (the parity tests pin that), so the gap is
 //! purely the amortization of the policy/critic weight stream.
 //!
@@ -12,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use rlsched_rl::{collect_episodes, collect_rollouts_vec, PpoConfig, RolloutBuffer, VecEnv};
+use rlsched_rl::{collect_rollouts_vec, PpoConfig, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -60,21 +61,15 @@ fn bench_rollout_throughput(c: &mut Criterion) {
             })
         });
 
-        // Per-env: n sequential single-env collections (the old path,
-        // kept as a VecEnv of size 1), merged into the same single
-        // normalized training batch the batched arm produces — identical
-        // output bits (the parity tests pin that), so the margin is
-        // purely the stepping/scoring strategy.
-        let mut singles: Vec<VecEnv<SchedulingEnv>> =
-            (0..n).map(|_| VecEnv::new(vec![proto.clone()])).collect();
+        // Per-env: one env slot stepping the n episodes one after
+        // another (the old sequential path, kept as a VecEnv of size 1),
+        // into the same normalized training batch the batched arm
+        // produces — identical output bits (the parity tests pin that),
+        // so the margin is purely the stepping/scoring strategy.
+        let mut single = VecEnv::new(vec![proto.clone()]);
         group.bench_function(format!("perenv_n{n}"), |b| {
             b.iter(|| {
-                let mut bufs = Vec::with_capacity(n);
-                for (venv, &seed) in singles.iter_mut().zip(&seeds) {
-                    let (mut episode_bufs, _stats) = collect_episodes(agent.ppo(), venv, &[seed]);
-                    bufs.append(&mut episode_bufs);
-                }
-                let batch = RolloutBuffer::into_batch(bufs);
+                let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut single, &seeds);
                 std::hint::black_box(batch.len())
             })
         });

@@ -61,11 +61,23 @@ mod tests {
     fn counter_sees_allocations() {
         let n = count_allocs(|| Vec::<u64>::with_capacity(32));
         assert!(n >= 1, "a fresh Vec must register at least one allocation");
+        // The counter is process-global, and the harness runs this
+        // binary's other unit tests concurrently, so any one window may
+        // also catch their allocations. Allocation-free code reads 0 in
+        // some window; code that allocates every call never does.
         let mut buf: Vec<u64> = Vec::with_capacity(8);
-        let reuse = count_allocs(|| {
-            buf.clear();
-            buf.extend(0..8);
-        });
-        assert_eq!(reuse, 0, "refilling within capacity must not allocate");
+        let reuse = (0..1000)
+            .map(|_| {
+                count_allocs(|| {
+                    buf.clear();
+                    buf.extend(0..8);
+                })
+            })
+            .min();
+        assert_eq!(
+            reuse,
+            Some(0),
+            "refilling within capacity must not allocate"
+        );
     }
 }

@@ -1,11 +1,18 @@
 //! Phase profiler for the PPO update loop (sibling of
-//! `lockstep_profile`): attributes update wall time to minibatch gather /
-//! forward / backward / optimizer on both dispatch arms, so regressions
-//! in any one phase are attributable.
+//! `lockstep_profile`): attributes `Ppo::update_profiled` wall time to
+//! minibatch gather / forward / backward / optimizer, so regressions in
+//! any one phase are attributable, and times the pinned tape backend
+//! (`Ppo::update_tape`) on the same batch for the speedup line.
 //!
 //! ```text
 //! cargo run --release -p rlsched-bench --bin update_profile -- [reps]
+//! RLSCHED_FORCE_TAPE=1 cargo run --release -p rlsched-bench --bin update_profile -- [reps]
 //! ```
+//!
+//! The profiled run follows the update's backend dispatch: the fused
+//! chunk backend by default, the tape backend under
+//! `RLSCHED_FORCE_TAPE=1` (the second form above attributes the tape's
+//! phases).
 //!
 //! Uses the `ppo_update` bench configuration (kernel policy @ 64-job
 //! window, 5+5 iterations, minibatch 512 over an 8×128-step batch) so
@@ -14,7 +21,7 @@
 //! `crates/bench/PROFILE_update_phases.txt` — regenerate it alongside
 //! the BENCH_*.json files when the update path changes.
 
-use rlsched_rl::{collect_rollouts, PpoConfig, UpdateProfile};
+use rlsched_rl::{collect_rollouts_vec, PpoConfig, UpdateProfile, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -71,45 +78,35 @@ fn main() {
     let mut agent = Agent::new(cfg);
     let encoder = *agent.encoder();
     let objective = agent.objective();
-    let mut envs: Vec<SchedulingEnv> = (0..8)
-        .map(|_| SchedulingEnv::new(trace.clone(), 128, SimConfig::default(), encoder, objective))
-        .collect();
+    let env = SchedulingEnv::new(trace, 128, SimConfig::default(), encoder, objective);
+    let mut venv = VecEnv::new(vec![env; 8]);
     let seeds: Vec<u64> = (0..8).collect();
-    let (batch, _stats) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
+    let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut venv, &seeds);
     println!(
         "batch: {} transitions, minibatch 512, 5 pi + 5 v iters, kernel@64, reps {reps}\n",
         batch.len()
     );
 
-    // Warm both arms (graph pools, fused scratch, optimizer state).
-    let _ = agent.ppo_mut().update_fused(&batch);
+    // Warm both backends (graph pools, fused scratch, optimizer state).
+    let _ = agent.ppo_mut().update(&batch);
     let _ = agent.ppo_mut().update_tape(&batch);
 
-    let mut fused = UpdateProfile::default();
+    let mut prof = UpdateProfile::default();
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        let _ = agent.ppo_mut().update_fused_profiled(&batch, &mut fused);
+        let _ = agent.ppo_mut().update_profiled(&batch, &mut prof);
     }
-    let fused_wall = t0.elapsed();
-    print_profile(
-        "fused (tape-free analytic backward)",
-        &fused,
-        reps,
-        fused_wall,
-    );
-    println!();
+    let wall = t0.elapsed();
+    print_profile("update_profiled (dispatching backend)", &prof, reps, wall);
 
-    let mut tape = UpdateProfile::default();
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        let _ = agent.ppo_mut().update_tape_profiled(&batch, &mut tape);
+        let _ = agent.ppo_mut().update_tape(&batch);
     }
     let tape_wall = t0.elapsed();
-    print_profile("tape (autodiff graph)", &tape, reps, tape_wall);
     println!(
-        "\nspeedup: {:.2}x wall ({:.2} -> {:.2} ms)",
-        tape_wall.as_secs_f64() / fused_wall.as_secs_f64(),
+        "\ntape backend: {:.2} ms/update wall; speedup {:.2}x",
         tape_wall.as_secs_f64() * 1e3 / reps as f64,
-        fused_wall.as_secs_f64() * 1e3 / reps as f64,
+        tape_wall.as_secs_f64() / wall.as_secs_f64(),
     );
 }

@@ -7,7 +7,7 @@
 
 use rlsched_bench::alloc::count_allocs;
 use rlsched_rl::{
-    collect_rollouts, ActorScratch, Env, MaskedCategorical, PolicyModel, PpoConfig, ValueModel,
+    collect_rollouts_vec, ActorScratch, Env, MaskedCategorical, PolicyModel, PpoConfig, ValueModel,
     VecEnv,
 };
 use rlsched_serve::{ScorerSlot, ShardEngine};
@@ -167,56 +167,51 @@ fn fast_paths_do_not_regress_allocations() {
     let greedy_allocs = count_allocs(|| agent.ppo().greedy_with(&obs, &mask, &mut scratch));
     assert_eq!(greedy_allocs, 0, "greedy fast path must not allocate");
 
-    // ---- PPO update, fused fast path: ZERO allocations at steady
-    // state. The first call warms the minibatch gather buffers, the
-    // per-layer activation stashes and the Adam moment state; every
-    // later update must not touch the heap at all — the whole point of
-    // the tape-free analytic backward. `update_fused` is pinned
-    // directly so the bound holds regardless of the RLSCHED_FORCE_TAPE
-    // dispatch arm CI sets. ----
+    // ---- PPO update, fused chunk backend: ZERO allocations at steady
+    // state on the inline (1-worker) path. The first call warms the
+    // minibatch gather buffers, the per-chunk activation stashes and the
+    // Adam moment state; every later update must not touch the heap at
+    // all — per-chunk scratches, the stitched diagnostics and the
+    // tree-merge all reuse persistent buffers. Worker spawns allocate
+    // per fan-out by design, so the pin runs under `with_threads(1)`:
+    // the bound isolates the update's own buffer discipline from thread
+    // bring-up. Under RLSCHED_FORCE_TAPE the dispatching update runs the
+    // tape backend, whose bound is the tape pin below. ----
     let mut envs: Vec<SchedulingEnv> = (0..4).map(|_| env.clone()).collect();
     let seeds: Vec<u64> = (0..4).collect();
-    let (batch, _stats) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
-    let _ = agent
-        .ppo_mut()
-        .update_fused(&batch)
-        .expect("kernel policy is fused-eligible"); // warm-up iteration
-    let fused_allocs = count_allocs(|| {
-        agent.ppo_mut().update_fused(&batch);
-    });
-    assert_eq!(
-        fused_allocs, 0,
-        "fused Ppo::update must not allocate at steady state \
-         ({fused_allocs} allocations after warm-up)"
+    let mut collect = |agent: &Agent| {
+        let mut venv: VecEnv<&mut SchedulingEnv> = VecEnv::new(envs.iter_mut().collect());
+        collect_rollouts_vec(agent.ppo(), &mut venv, &seeds)
+    };
+    let (batch, _stats) = collect(&agent);
+    assert!(
+        agent.ppo().fused_supported(),
+        "kernel policy is fused-eligible"
     );
-
-    // ---- PPO update, sharded multi-core arm: ZERO allocations at
-    // steady state on the inline (1-worker) path — per-chunk scratches,
-    // the stitched diagnostics and the tree-merge all reuse persistent
-    // buffers. Worker spawns allocate per fan-out by design, so the pin
-    // runs under `with_threads(1)`: the bound isolates the sharded
-    // arm's own buffer discipline from thread bring-up. ----
-    let _ = rayon::with_threads(1, || agent.ppo_mut().update_fused_sharded(&batch))
-        .expect("kernel policy is fused-eligible"); // warm-up iteration
-    let sharded_allocs = count_allocs(|| {
+    let _ = rayon::with_threads(1, || agent.ppo_mut().update(&batch)); // warm-up
+    let update_allocs = count_allocs(|| {
         rayon::with_threads(1, || {
-            agent.ppo_mut().update_fused_sharded(&batch);
+            agent.ppo_mut().update(&batch);
         });
     });
-    assert_eq!(
-        sharded_allocs, 0,
-        "sharded Ppo::update must not allocate at steady state on the \
-         inline path ({sharded_allocs} allocations after warm-up)"
-    );
+    let tape_forced =
+        std::env::var_os("RLSCHED_FORCE_TAPE").is_some_and(|v| !v.is_empty() && v != "0");
+    if !tape_forced {
+        assert_eq!(
+            update_allocs, 0,
+            "Ppo::update must not allocate at steady state on the inline \
+             path ({update_allocs} allocations after warm-up)"
+        );
+    }
 
-    // ---- PPO update, tape fallback: bounded by the measured baseline ----
+    // ---- PPO update, tape backend: bounded by the measured baseline ----
     let _ = agent.ppo_mut().update_tape(&batch); // warm graph pools + optimizer state
     let update_allocs = count_allocs(|| agent.ppo_mut().update_tape(&batch));
     // Measured baseline for this configuration (3+3 iterations,
-    // minibatch 256) is ~200 allocations — op metadata (`SelectCols`
-    // index vectors) and per-iteration gradient collections. The bound
-    // leaves ~50% headroom for noise; a real regression (e.g. losing the
-    // graph buffer pool) is an order of magnitude.
+    // minibatch 256 = 4 chunk graphs per iteration) is ~140 allocations —
+    // per-chunk op metadata (`SelectCols` index vectors) and tape-pool
+    // misses. The bound leaves headroom for noise; a real regression
+    // (e.g. losing the graph buffer pool) is an order of magnitude.
     assert!(
         update_allocs <= 300,
         "Ppo::update allocations regressed: {update_allocs} > 300"
@@ -226,12 +221,12 @@ fn fast_paths_do_not_regress_allocations() {
     // 4-episode round must fit a small per-episode budget. The lockstep
     // VecEnv path replaced the per-env thread fan-out, so the bound
     // tightens from the historical 600 (measured ~561 on the old path)
-    // to 400: what remains is per-episode RolloutBuffer growth plus the
+    // to 400: what remains is per-episode arena growth plus the
     // one-time lockstep scratch, not per-step or per-thread work. ----
-    let rollout_allocs = count_allocs(|| collect_rollouts(agent.ppo(), &mut envs, &seeds));
+    let rollout_allocs = count_allocs(|| collect(&agent));
     assert!(
         rollout_allocs <= 400,
-        "collect_rollouts allocations regressed: {rollout_allocs} > 400 \
+        "collect_rollouts_vec allocations regressed: {rollout_allocs} > 400 \
          (per-step allocations must stay out of the lockstep loop)"
     );
 

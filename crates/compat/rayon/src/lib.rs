@@ -89,8 +89,8 @@ pub fn current_num_threads() -> usize {
 /// `n.max(1)`, restoring the previous budget afterwards (also on
 /// unwind). Task partitioning is budget-independent, so results are
 /// bit-identical for every `n`; this exists so parity suites can sweep
-/// thread counts in-process and so `TrainConfig::n_threads` can cap
-/// parallelism without touching the environment.
+/// thread counts in-process and so a caller can size the pool of one
+/// training run (or anything else) without touching the environment.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -182,7 +182,7 @@ where
 /// [`task_ranges`]) and return the per-range outputs in range order.
 /// Because the ranges depend only on `n`, folding the outputs in order
 /// is bit-identical at every thread count — this is the primitive the
-/// parallel rollout and sharded backward build on.
+/// parallel rollout builds on.
 pub fn fan_out<R, F>(n: usize, per_range: F) -> Vec<R>
 where
     R: Send,

@@ -263,9 +263,15 @@ impl Agent {
     }
 
     /// Restore an agent (fresh optimizer state) from [`Agent::save_json`]
-    /// output.
+    /// output. Rejects a checkpoint whose `ppo.minibatch` is `Some(0)`:
+    /// an empty minibatch has no gradient to step on.
     pub fn load_json(s: &str) -> Result<Agent, serde_json::Error> {
         let ckpt: Checkpoint = serde_json::from_str(s)?;
+        if ckpt.cfg.ppo.minibatch == Some(0) {
+            return Err(serde_json::Error::custom(
+                "checkpoint field `ppo.minibatch` must be at least 1",
+            ));
+        }
         let encoder = ObsEncoder::new(ckpt.cfg.obs);
         let mut ppo_cfg = ckpt.cfg.ppo;
         ppo_cfg.update_seed = ckpt.cfg.seed;
@@ -474,6 +480,19 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         assert!(Agent::load_json("{}").is_err());
+    }
+
+    #[test]
+    fn load_rejects_an_empty_minibatch() {
+        let mut cfg = small_cfg();
+        cfg.ppo.minibatch = Some(64);
+        let json = Agent::new(cfg).save_json();
+        let zeroed = json.replace("\"minibatch\":64", "\"minibatch\":0");
+        assert_ne!(zeroed, json, "checkpoint must spell out the minibatch");
+        let err = Agent::load_json(&zeroed)
+            .err()
+            .expect("minibatch 0 must not load");
+        assert!(err.to_string().contains("ppo.minibatch"), "got: {err}");
     }
 
     #[test]

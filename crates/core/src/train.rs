@@ -1,15 +1,21 @@
 //! The training loop (§V-A of the paper): epochs of vectorized
-//! trajectory collection (a lockstep `VecEnv` scoring every live episode
+//! trajectory collection (lockstep `VecEnv`s scoring every live episode
 //! through one stacked policy forward per simulator tick) followed by
 //! PPO updates, with the optional two-phase trajectory-filter schedule
 //! of §IV-C.
+//!
+//! Both halves of an epoch run on the rayon shim's worker pool, whose
+//! size comes from a [`rayon::with_threads`] override on the calling
+//! thread, else `RLSCHED_THREADS`, else `available_parallelism`. Rollout
+//! and update are bit-identical at every worker count, so the pool size
+//! only changes wall time, never the curve or the checkpoint.
 
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use rlsched_obs::{Counter, Gauge, Histogram, Registry};
-use rlsched_rl::{collect_rollouts_par, collect_rollouts_vec, UpdateProfile, UpdateStats, VecEnv};
+use rlsched_rl::{collect_rollouts_par, UpdateProfile, UpdateStats};
 use rlsched_sim::SimConfig;
 use rlsched_swf::JobTrace;
 
@@ -49,7 +55,9 @@ impl FilterMode {
 
 /// Training-run configuration. The paper's full scale is 100 epochs of
 /// 100 trajectories × 256 jobs (§V-A); the default here is that scale, and
-/// the repro harness shrinks it for quick runs.
+/// the repro harness shrinks it for quick runs. There is no thread
+/// setting: [`train`] runs on the rayon shim's worker pool (see the
+/// module docs), and the curve is the same bits at any pool size.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Training epochs.
@@ -64,26 +72,14 @@ pub struct TrainConfig {
     pub filter: FilterMode,
     /// Base seed; every epoch/trajectory derives its own stream.
     pub seed: u64,
-    /// Lockstep width: how many environment slots step in parallel
-    /// through the vectorized sampler (clamped to
+    /// Lockstep width of each rollout worker: how many environment
+    /// slots step together through the vectorized sampler (clamped to
     /// `trajectories_per_epoch`). Slots auto-reset onto the next
     /// trajectory seed as episodes finish, so the epoch's trajectory set
     /// — and, thanks to row-count-invariant batched forwards, every
     /// collected bit — is independent of this knob; it only trades
     /// per-tick batch size against env-slot memory.
     pub n_envs: usize,
-    /// Worker threads for rollout collection and the PPO update. `0`/`1`
-    /// run the exact single-core paths; `>= 2` partitions each epoch's
-    /// seed schedule across per-worker `VecEnv`s
-    /// ([`collect_rollouts_par`]) and shards the fused backward. The
-    /// parallel arms are deterministic at *any* worker count — rerunning
-    /// with a different `n_threads >= 2` reproduces the curve bit for
-    /// bit — but the sharded update is a different deterministic
-    /// trajectory from `n_threads <= 1` for minibatches over
-    /// `fused::SHARD_ROWS` rows (chunked f32 gradient reductions), so
-    /// pick the arm per run, not mid-stream. `RLSCHED_THREADS` caps the
-    /// actual worker pool.
-    pub n_threads: usize,
 }
 
 impl Default for TrainConfig {
@@ -96,7 +92,6 @@ impl Default for TrainConfig {
             filter: FilterMode::Off,
             seed: 0,
             n_envs: 16,
-            n_threads: 1,
         }
     }
 }
@@ -211,21 +206,11 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
         }
     };
 
-    // Lockstep env slots: far fewer than trajectories_per_epoch — slots
-    // auto-reset onto the next trajectory seed as episodes finish, and
-    // every tick scores all live slots through one stacked forward.
+    // Lockstep env slots per rollout worker: far fewer than
+    // trajectories_per_epoch — slots auto-reset onto the next trajectory
+    // seed as episodes finish, and every tick scores all live slots
+    // through one stacked forward.
     let n_slots = cfg.n_envs.max(1).min(cfg.trajectories_per_epoch);
-    let parallel = cfg.n_threads >= 2;
-    let mut envs: Vec<SchedulingEnv> = if parallel {
-        Vec::new() // the parallel sampler builds per-worker slots instead
-    } else {
-        (0..n_slots)
-            .map(|_| SchedulingEnv::new(trace.clone(), cfg.seq_len, cfg.sim, encoder, objective))
-            .collect()
-    };
-    if parallel {
-        agent.ppo_mut().set_update_threads(cfg.n_threads);
-    }
 
     let metrics = TrainMetrics::register(rlsched_obs::global());
     let mut curve = Vec::with_capacity(cfg.epochs);
@@ -236,44 +221,23 @@ pub fn train(agent: &mut Agent, trace: &JobTrace, cfg: &TrainConfig) -> Training
             FilterMode::TwoPhase { phase1_epochs, .. } => epoch < phase1_epochs,
         };
         let epoch_filter = if filtered { filter.clone() } else { None };
-        for e in &mut envs {
+        let make_env = || {
+            let mut e = SchedulingEnv::new(trace.clone(), cfg.seq_len, cfg.sim, encoder, objective);
             e.set_filter(epoch_filter.clone());
-        }
+            e
+        };
 
         let seeds: Vec<u64> = (0..cfg.trajectories_per_epoch as u64)
             .map(|i| {
                 cfg.seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9) ^ i.wrapping_mul(0x85EB_CA6B)
             })
             .collect();
-        let mut prof = UpdateProfile::default();
-        let (stats, update) = if parallel {
-            // Partitioned seed schedule over per-worker VecEnvs, then the
-            // sharded fused update — all under the configured worker
-            // pool. Identical bits at any n_threads >= 2.
-            rayon::with_threads(cfg.n_threads, || {
-                let make_env = || {
-                    let mut e =
-                        SchedulingEnv::new(trace.clone(), cfg.seq_len, cfg.sim, encoder, objective);
-                    e.set_filter(epoch_filter.clone());
-                    e
-                };
-                let (batch, stats) = {
-                    rlsched_obs::span!("train.rollout");
-                    collect_rollouts_par(agent.ppo(), make_env, n_slots, &seeds)
-                };
-                (stats, agent.ppo_mut().update_profiled(&batch, &mut prof))
-            })
-        } else {
-            let mut venv: VecEnv<&mut SchedulingEnv> = VecEnv::new(envs.iter_mut().collect());
-            let (batch, stats) = {
-                rlsched_obs::span!("train.rollout");
-                collect_rollouts_vec(agent.ppo(), &mut venv, &seeds)
-            };
-            drop(venv);
-            // Safety: collect_rollouts borrows the agent immutably; the
-            // update needs it mutably. The borrow ends before this line.
-            (stats, agent.ppo_mut().update_profiled(&batch, &mut prof))
+        let (batch, stats) = {
+            rlsched_obs::span!("train.rollout");
+            collect_rollouts_par(agent.ppo(), make_env, n_slots, &seeds)
         };
+        let mut prof = UpdateProfile::default();
+        let update = agent.ppo_mut().update_profiled(&batch, &mut prof);
         metrics.record_epoch(&stats, &update, &prof);
 
         curve.push(EpochStats {
@@ -346,7 +310,6 @@ mod tests {
             filter: FilterMode::Off,
             seed: 11,
             n_envs: 8,
-            n_threads: 1,
         };
         let curve = train(&mut agent, &trace, &cfg);
         assert_eq!(curve.len(), 12);
@@ -373,7 +336,6 @@ mod tests {
             filter: FilterMode::Off,
             seed: 5,
             n_envs: 8,
-            n_threads: 1,
         };
         let mut a1 = tiny_agent(9);
         let c1 = train(&mut a1, &trace, &cfg);
@@ -397,7 +359,6 @@ mod tests {
             filter: FilterMode::two_phase(2, 20),
             seed: 2,
             n_envs: 8,
-            n_threads: 1,
         };
         let curve = train(&mut agent, &trace, &cfg);
         assert!(curve[0].filtered && curve[1].filtered);
@@ -416,7 +377,6 @@ mod tests {
             filter: FilterMode::Off,
             seed: 3,
             n_envs: 8,
-            n_threads: 1,
         };
         let curve = train(&mut agent, &trace, &cfg);
         let u = &curve[0].update;

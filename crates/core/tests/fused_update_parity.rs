@@ -1,12 +1,15 @@
 //! Fused ≡ tape update parity at the agent level: for every fused-eligible
-//! Table IV architecture, `Ppo::update_fused` must reproduce
-//! `Ppo::update_tape` **bit for bit** — per-parameter gradients (pinned
-//! transitively through identical post-Adam weights), diagnostics, the
-//! minibatch RNG stream, and whole multi-update training trajectories.
-//! CI runs this suite on both kernel dispatch arms (default SIMD and
-//! `RLSCHED_FORCE_SCALAR=1`), so the contract holds on each.
+//! Table IV architecture, `Ppo::update` (the fused chunk backend) must
+//! reproduce `Ppo::update_tape` **bit for bit** — per-parameter gradients
+//! (pinned transitively through identical post-Adam weights),
+//! diagnostics, the minibatch RNG stream, and whole multi-update training
+//! trajectories — at every minibatch size, including the ones that
+//! straddle a `SHARD_ROWS` chunk boundary. CI runs this suite on both
+//! kernel dispatch arms (default SIMD and `RLSCHED_FORCE_SCALAR=1`), so
+//! the contract holds on each; under `RLSCHED_FORCE_TAPE=1` both sides
+//! run the tape backend.
 
-use rlsched_rl::{collect_rollouts, Batch, PpoConfig};
+use rlsched_rl::{collect_rollouts_vec, Batch, PpoConfig, VecEnv, SHARD_ROWS};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{Agent, AgentConfig, ObsConfig, PolicyKind, SchedulingEnv};
@@ -28,44 +31,63 @@ fn agent_for(kind: PolicyKind, max_obsv: usize, ppo: PpoConfig) -> Agent {
 /// depend on the policy weights and seeds, which are fixed).
 fn batch_for(agent: &Agent, episodes: usize, seq_len: usize) -> Batch {
     let trace = std::sync::Arc::new(NamedWorkload::Lublin1.generate(512, 3));
-    let mut envs: Vec<SchedulingEnv> = (0..episodes)
-        .map(|_| {
-            SchedulingEnv::new(
-                trace.clone(),
-                seq_len,
-                SimConfig::default(),
-                *agent.encoder(),
-                agent.objective(),
-            )
-        })
-        .collect();
+    let mut venv = VecEnv::new(
+        (0..episodes)
+            .map(|_| {
+                SchedulingEnv::new(
+                    trace.clone(),
+                    seq_len,
+                    SimConfig::default(),
+                    *agent.encoder(),
+                    agent.objective(),
+                )
+            })
+            .collect::<Vec<_>>(),
+    );
     let seeds: Vec<u64> = (0..episodes as u64).collect();
-    let (batch, _stats) = collect_rollouts(agent.ppo(), &mut envs, &seeds);
+    let (batch, _stats) = collect_rollouts_vec(agent.ppo(), &mut venv, &seeds);
     batch
 }
 
+/// Minibatch sizes around the chunk boundaries: one row short of a
+/// chunk, exactly one chunk, one row into a second chunk, and one row
+/// into a third. Every case below also runs at each of these sizes.
+const CHUNK_EDGES: [usize; 4] = [
+    SHARD_ROWS - 1,
+    SHARD_ROWS,
+    SHARD_ROWS + 1,
+    2 * SHARD_ROWS + 1,
+];
+
 /// Run `updates` tape updates on one clone and `updates` fused updates on
-/// another; every step's diagnostics and the final checkpoints must be
+/// another, at `ppo`'s own minibatch size and at every [`CHUNK_EDGES`]
+/// size; every step's diagnostics and the final checkpoints must be
 /// bit-identical.
 fn assert_fused_matches_tape(kind: PolicyKind, ppo: PpoConfig, updates: usize, what: &str) {
-    let proto = agent_for(kind, 16, ppo);
-    let batch = batch_for(&proto, 4, 40);
-    // Two identical clones with fresh optimizer state each.
-    let mut tape = Agent::load_json(&proto.save_json()).expect("clone");
-    let mut fused = Agent::load_json(&proto.save_json()).expect("clone");
-    for step in 0..updates {
-        let st = tape.ppo_mut().update_tape(&batch);
-        let sf = fused
-            .ppo_mut()
-            .update_fused(&batch)
-            .expect("architecture must be fused-eligible");
-        assert_eq!(st, sf, "{what}: stats diverged at update {step}");
+    let edges = CHUNK_EDGES.map(Some);
+    for minibatch in std::iter::once(ppo.minibatch).chain(edges) {
+        let ppo = PpoConfig { minibatch, ..ppo };
+        let what = format!("{what}, minibatch {minibatch:?}");
+        let proto = agent_for(kind, 16, ppo);
+        assert!(
+            proto.ppo().fused_supported(),
+            "{what}: must be fused-eligible"
+        );
+        let batch = batch_for(&proto, 4, 40);
+        // Two identical clones with fresh optimizer state each.
+        let mut tape = Agent::load_json(&proto.save_json()).expect("clone");
+        let mut fused = Agent::load_json(&proto.save_json()).expect("clone");
+        for step in 0..updates {
+            let st = tape.ppo_mut().update_tape(&batch);
+            let sf = fused.ppo_mut().update(&batch);
+            assert_eq!(st, sf, "{what}: stats diverged at update {step}");
+        }
+        assert_eq!(
+            tape.save_json(),
+            fused.save_json(),
+            "{what}: weights diverged after {updates} updates"
+        );
     }
-    assert_eq!(
-        tape.save_json(),
-        fused.save_json(),
-        "{what}: weights diverged after {updates} updates"
-    );
 }
 
 #[test]
@@ -127,9 +149,9 @@ fn grad_clipping_matches() {
 
 #[test]
 fn lenet_has_no_fused_arm_and_dispatch_falls_back() {
-    // The CNN baseline is not an MLP chain: update_fused must decline,
-    // and the dispatching update must transparently produce the tape
-    // result.
+    // The CNN baseline is not an MLP chain: it must not claim fused
+    // support, and the dispatching update must transparently produce the
+    // tape result.
     let ppo = PpoConfig {
         train_pi_iters: 2,
         train_v_iters: 2,
@@ -141,10 +163,9 @@ fn lenet_has_no_fused_arm_and_dispatch_falls_back() {
     let mut a = Agent::load_json(&proto.save_json()).expect("clone");
     let mut b = Agent::load_json(&proto.save_json()).expect("clone");
     assert!(
-        a.ppo_mut().update_fused(&batch).is_none(),
+        !a.ppo().fused_supported(),
         "LeNet must not claim fused support"
     );
-    assert!(!a.ppo().fused_supported());
     let s1 = a.ppo_mut().update(&batch);
     let s2 = b.ppo_mut().update_tape(&batch);
     assert_eq!(s1, s2, "dispatching update must fall back to the tape");
@@ -154,21 +175,13 @@ fn lenet_has_no_fused_arm_and_dispatch_falls_back() {
 #[test]
 fn dispatching_update_takes_the_fused_path_bit_identically() {
     // `update()` (what training calls) must be indistinguishable from
-    // the pinned arms: same stats, same weights.
+    // the pinned tape backend over several updates: same stats, same
+    // weights.
     let ppo = PpoConfig {
         train_pi_iters: 4,
         train_v_iters: 4,
         minibatch: Some(96),
         ..PpoConfig::default()
     };
-    let proto = agent_for(PolicyKind::Kernel, 16, ppo);
-    let batch = batch_for(&proto, 4, 40);
-    let mut auto = Agent::load_json(&proto.save_json()).expect("clone");
-    let mut tape = Agent::load_json(&proto.save_json()).expect("clone");
-    for _ in 0..3 {
-        let sa = auto.ppo_mut().update(&batch);
-        let st = tape.ppo_mut().update_tape(&batch);
-        assert_eq!(sa, st, "dispatching update diverged from the tape arm");
-    }
-    assert_eq!(auto.save_json(), tape.save_json());
+    assert_fused_matches_tape(PolicyKind::Kernel, ppo, 3, "dispatching update");
 }

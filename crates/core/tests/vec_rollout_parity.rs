@@ -1,15 +1,15 @@
 //! Batched ≡ sequential parity on the *real* scheduling stack: a
 //! `VecEnv(n)` rollout over `SchedulingEnv`s with the paper's policy
 //! architectures must produce bit-identical trajectories (observations,
-//! actions, rewards/returns, advantages, sampled log-probs) to n
-//! sequential single-env rollouts, and the lockstep greedy evaluator
+//! actions, rewards/returns, advantages, sampled log-probs) to
+//! sequential single-env collection, and the lockstep greedy evaluator
 //! must schedule exactly like the sequential per-decision protocol.
 //! CI runs this suite on both the SIMD and `RLSCHED_FORCE_SCALAR=1`
 //! dispatch arms.
 
 use std::sync::Arc;
 
-use rlsched_rl::{collect_episodes, Batch, PpoConfig, RolloutBuffer, VecEnv};
+use rlsched_rl::{collect_rollouts_vec, Batch, PpoConfig, VecEnv};
 use rlsched_sim::{MetricKind, SimConfig};
 use rlsched_workload::NamedWorkload;
 use rlscheduler::{
@@ -50,9 +50,10 @@ fn assert_batches_identical(a: &Batch, b: &Batch, what: &str) {
     assert_eq!(a.logp_old, b.logp_old, "{what}: sampled log-probs");
 }
 
-/// VecEnv(n) vs n × VecEnv(1) over real scheduling episodes, for the
-/// paper's kernel policy and a flat-MLP baseline (the two batched
-/// fast-path families; the CNN routes through the same per-row default).
+/// VecEnv(n) vs VecEnv(1) (one episode at a time) over real scheduling
+/// episodes, for the paper's kernel policy and a flat-MLP baseline (the
+/// two batched fast-path families; the CNN routes through the same
+/// per-row default).
 #[test]
 fn batched_scheduling_rollout_matches_sequential() {
     for (kind, max_obsv) in [(PolicyKind::Kernel, 16), (PolicyKind::MlpV2, 16)] {
@@ -64,23 +65,15 @@ fn batched_scheduling_rollout_matches_sequential() {
                 .map(|_| env_for(&agent, 24))
                 .collect::<Vec<_>>(),
         );
-        let (batched_bufs, batched_stats) = collect_episodes(agent.ppo(), &mut venv, &seeds);
+        let (batched, batched_stats) = collect_rollouts_vec(agent.ppo(), &mut venv, &seeds);
 
-        let mut seq_bufs = Vec::new();
-        let mut seq_metrics = Vec::new();
-        for &seed in &seeds {
-            let mut single = VecEnv::new(vec![env_for(&agent, 24)]);
-            let (mut bufs, stats) = collect_episodes(agent.ppo(), &mut single, &[seed]);
-            seq_bufs.append(&mut bufs);
-            seq_metrics.extend(stats.metrics);
-        }
+        let mut single = VecEnv::new(vec![env_for(&agent, 24)]);
+        let (sequential, seq_stats) = collect_rollouts_vec(agent.ppo(), &mut single, &seeds);
 
         assert_eq!(
-            batched_stats.metrics, seq_metrics,
+            batched_stats.metrics, seq_stats.metrics,
             "{kind:?}: episode metrics"
         );
-        let batched = RolloutBuffer::into_batch(batched_bufs);
-        let sequential = RolloutBuffer::into_batch(seq_bufs);
         assert_batches_identical(&batched, &sequential, &format!("{kind:?} batched-vs-seq"));
     }
 }
@@ -93,8 +86,7 @@ fn lockstep_width_does_not_change_trajectories() {
     let seeds: Vec<u64> = (90..96).collect();
     let run = |slots: usize| {
         let mut venv = VecEnv::new((0..slots).map(|_| env_for(&agent, 20)).collect::<Vec<_>>());
-        let (bufs, stats) = collect_episodes(agent.ppo(), &mut venv, &seeds);
-        (RolloutBuffer::into_batch(bufs), stats)
+        collect_rollouts_vec(agent.ppo(), &mut venv, &seeds)
     };
     let (wide, ws) = run(6);
     let (narrow, ns) = run(2);

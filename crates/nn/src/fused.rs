@@ -353,12 +353,13 @@ pub fn policy_loss_and_grads(
 
 /// The dlogits fuse + layer backward of [`policy_loss_and_grads`], with
 /// the mean-gradient seeds scaled by `total_n` instead of the local row
-/// count — the sharded arm runs this per chunk with the *batch* size as
-/// `total_n`, so per-chunk gradients are exact partials of the whole
-/// batch's gradient. Returns the raw `(Σ min(s1,s2), Σ p·logp)` partial
-/// sums (row-ascending f32 folds over this call's rows).
+/// count — `rlsched-rl`'s chunked update loop runs this per chunk with
+/// the *minibatch* size as `total_n`, so per-chunk gradients are exact
+/// partials of the whole minibatch's gradient. Returns the raw
+/// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds over
+/// this call's rows); gradients land in [`FusedScratch::grads`].
 #[allow(clippy::too_many_arguments)] // the PPO term list + both row counts
-fn policy_backward_scaled(
+pub fn policy_backward_scaled(
     p: &FusedPolicy<'_>,
     obs: &[f32],
     actions: &[usize],
@@ -467,9 +468,9 @@ pub fn value_loss_and_grads(
 }
 
 /// The squared-error backward of [`value_loss_and_grads`] with the mean
-/// gradient seeded by `total_rows` — the sharded arm's per-chunk form.
-/// Returns the raw `Σ (v−R)²` partial over this call's rows.
-fn value_backward_scaled(
+/// gradient seeded by `total_rows` — the chunked update loop's per-chunk
+/// form. Returns the raw `Σ (v−R)²` partial over this call's rows.
+pub fn value_backward_scaled(
     mlp: &Mlp,
     obs: &[f32],
     returns: &[f32],
@@ -495,306 +496,6 @@ fn value_backward_scaled(
     }
     backward_layers(mlp, obs, rows, s);
     sq_sum
-}
-
-/// Rows (transitions) per shard chunk of the sharded backward. Chunk
-/// boundaries are a pure function of the batch size and this constant —
-/// never of the machine or the worker count — so the chunk-index-ordered
-/// gradient merge makes the sharded arm bit-identical at every thread
-/// count.
-pub const SHARD_ROWS: usize = 64;
-
-/// `[lo, hi)` transition bounds of shard chunk `c` of an `n`-row batch.
-fn chunk_bounds(c: usize, n: usize) -> (usize, usize) {
-    let lo = c * SHARD_ROWS;
-    (lo, (lo + SHARD_ROWS).min(n))
-}
-
-/// One shard chunk's scratch plus its loss partial sums.
-#[derive(Debug, Default)]
-struct ChunkScratch {
-    s: FusedScratch,
-    /// `Σ min(s1,s2)` over the chunk's rows (policy side).
-    obj: f32,
-    /// `Σ p·logp` over the chunk's rows (policy side).
-    ent: f32,
-    /// `Σ (v−R)²` over the chunk's rows (value side).
-    sq: f32,
-}
-
-/// Reusable buffers for the **sharded** fused pass: one [`FusedScratch`]
-/// per fixed [`SHARD_ROWS`]-row chunk (so chunks can run on the rayon
-/// shim's workers with no shared mutable state), plus the stitched
-/// whole-batch diagnostics. Buffers persist across updates — at a fixed
-/// minibatch size the steady-state sharded update allocates nothing on
-/// the inline (1-worker) path.
-///
-/// # Determinism contract
-///
-/// The sharded arm is **worker-count invariant**, not bit-identical to
-/// the monolithic [`policy_loss_and_grads`]: chunking changes the f32
-/// association of the dW/db row reductions (for batches over
-/// [`SHARD_ROWS`] rows), which no summation order can reconcile with the
-/// monolithic fold. Instead every quantity here is a pure function of
-/// the *batch*: forward activations and dlogits are row-local (and
-/// bit-equal to the monolithic pass by row-count invariance — so
-/// [`ShardedScratch::logp_all`] / [`selected_logp`](Self::selected_logp)
-/// diagnostics match the unsharded arm exactly), per-chunk gradient
-/// partials depend only on fixed chunk contents and are reduced by a
-/// chunk-index-ordered binary tree, and loss partials fold in chunk
-/// order. Batches of ≤ [`SHARD_ROWS`] rows are one chunk, where the
-/// sharded arm IS bit-identical to the monolithic one.
-#[derive(Debug, Default)]
-pub struct ShardedScratch {
-    chunks: Vec<ChunkScratch>,
-    /// Concatenated masked log-probs `[n, width]` (chunk order == row
-    /// order).
-    logp: Vec<f32>,
-    /// Concatenated selected log-probs `[n]`.
-    sel: Vec<f32>,
-    /// Transitions (policy) or rows (value) in the last sharded forward.
-    n: usize,
-}
-
-impl ShardedScratch {
-    /// Fresh, empty scratch space.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure_chunks(&mut self, n_chunks: usize) {
-        if self.chunks.len() < n_chunks {
-            self.chunks.resize_with(n_chunks, ChunkScratch::default);
-        }
-    }
-
-    /// The full masked log-prob matrix of the last
-    /// [`policy_forward_sharded`] (`[n, width]` row-major) — bit-equal
-    /// to the monolithic [`FusedScratch::logp_all`].
-    pub fn logp_all(&self) -> &[f32] {
-        &self.logp
-    }
-
-    /// The selected per-transition log-probs of the last
-    /// [`policy_forward_sharded`] — bit-equal to the monolithic
-    /// [`FusedScratch::selected_logp`].
-    pub fn selected_logp(&self) -> &[f32] {
-        &self.sel
-    }
-
-    /// Merged parameter gradients of the last sharded backward, in bind
-    /// order (`w0, b0, w1, b1, …`).
-    pub fn grads(&self) -> &[Tensor] {
-        self.chunks
-            .first()
-            .expect("run a sharded backward first")
-            .s
-            .grads()
-    }
-
-    /// Mutable merged-gradient access (for global-norm clipping).
-    pub fn grads_mut(&mut self) -> &mut [Tensor] {
-        self.chunks
-            .first_mut()
-            .expect("run a sharded backward first")
-            .s
-            .grads_mut()
-    }
-}
-
-/// Reduce the chunks' gradient partials into chunk 0 with a
-/// chunk-index-ordered binary tree (level 0 merges (0,1),(2,3),…; level
-/// 1 merges (0,2),(4,6),…). The association is fixed by chunk index
-/// alone, so the merged bits are independent of how many workers ran the
-/// chunks.
-fn merge_chunk_grads(chunks: &mut [ChunkScratch]) {
-    let n = chunks.len();
-    let mut stride = 1;
-    while stride < n {
-        let mut i = 0;
-        while i + stride < n {
-            let (head, tail) = chunks.split_at_mut(i + stride);
-            for (d, src) in head[i].s.grads.iter_mut().zip(&tail[0].s.grads) {
-                for (dv, &sv) in d.data_mut().iter_mut().zip(src.data()) {
-                    *dv += sv;
-                }
-            }
-            i += stride * 2;
-        }
-        stride *= 2;
-    }
-}
-
-/// [`policy_forward`] sharded over fixed [`SHARD_ROWS`]-row chunks on
-/// the rayon shim's workers. Per-row outputs are bit-equal to the
-/// monolithic forward (row-count-invariant kernels); the stitched
-/// [`ShardedScratch::logp_all`] / [`ShardedScratch::selected_logp`]
-/// diagnostics are available before committing to a backward.
-pub fn policy_forward_sharded(
-    p: &FusedPolicy<'_>,
-    obs: &[f32],
-    masks: &[f32],
-    actions: &[usize],
-    n: usize,
-    sh: &mut ShardedScratch,
-) {
-    use rayon::prelude::*;
-    assert!(n > 0, "fused forward needs at least one transition");
-    let (rows, width) = p.dims(n);
-    assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
-    assert_eq!(masks.len(), n * width, "mask volume");
-    assert_eq!(actions.len(), n, "one action per transition");
-    let rpt = rows / n; // layer-stack rows per transition (1 or window)
-    let od = rpt * p.mlp.in_dim();
-    let n_chunks = n.div_ceil(SHARD_ROWS);
-    sh.ensure_chunks(n_chunks);
-    sh.n = n;
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, n);
-            policy_forward(
-                p,
-                &obs[lo * od..hi * od],
-                &masks[lo * width..hi * width],
-                &actions[lo..hi],
-                hi - lo,
-                &mut cs[0].s,
-            );
-        });
-    // Stitch the diagnostics back in chunk (== row) order.
-    sh.logp.clear();
-    sh.sel.clear();
-    for c in &sh.chunks[..n_chunks] {
-        sh.logp.extend_from_slice(&c.s.logp);
-        sh.sel.extend_from_slice(&c.s.sel);
-    }
-}
-
-/// [`policy_loss_and_grads`] sharded over the same fixed chunks as
-/// [`policy_forward_sharded`] (which must run first): each chunk fuses
-/// its dlogits pass and walks the layers into its own gradient partial
-/// (seeded by the *batch* mean, so partials sum to the batch gradient),
-/// then partials reduce through the chunk-index-ordered tree merge and
-/// loss partials fold in chunk order. See [`ShardedScratch`] for the
-/// determinism contract. Returns the loss; merged gradients land in
-/// [`ShardedScratch::grads`].
-#[allow(clippy::too_many_arguments)] // mirrors policy_loss_and_grads
-pub fn policy_loss_and_grads_sharded(
-    p: &FusedPolicy<'_>,
-    obs: &[f32],
-    actions: &[usize],
-    advantages: &[f32],
-    logp_old: &[f32],
-    clip_ratio: f32,
-    ent_coef: f32,
-    n: usize,
-    sh: &mut ShardedScratch,
-) -> f32 {
-    use rayon::prelude::*;
-    let (rows, width) = p.dims(n);
-    assert_eq!(sh.n, n, "run policy_forward_sharded first");
-    assert_eq!(sh.logp.len(), n * width, "run policy_forward_sharded first");
-    assert_eq!(advantages.len(), n, "one advantage per transition");
-    assert_eq!(logp_old.len(), n, "one old log-prob per transition");
-    let rpt = rows / n;
-    let od = rpt * p.mlp.in_dim();
-    let n_chunks = n.div_ceil(SHARD_ROWS);
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, n);
-            let chunk = &mut cs[0];
-            let (obj, ent) = policy_backward_scaled(
-                p,
-                &obs[lo * od..hi * od],
-                &actions[lo..hi],
-                &advantages[lo..hi],
-                &logp_old[lo..hi],
-                clip_ratio,
-                ent_coef,
-                hi - lo,
-                n,
-                &mut chunk.s,
-            );
-            chunk.obj = obj;
-            chunk.ent = ent;
-        });
-    // Loss partials fold in chunk-index order (worker-count invariant;
-    // identical to the monolithic fold when the batch is one chunk).
-    let mut obj_sum = 0.0f32;
-    let mut ent_sum = 0.0f32;
-    for c in &sh.chunks[..n_chunks] {
-        obj_sum += c.obj;
-        ent_sum += c.ent;
-    }
-    let mean_obj = obj_sum / n as f32;
-    let mut loss = -mean_obj;
-    if ent_coef != 0.0 {
-        let ent_mean = ent_sum / n as f32;
-        loss += ent_mean * ent_coef;
-    }
-    merge_chunk_grads(&mut sh.chunks[..n_chunks]);
-    loss
-}
-
-/// [`value_forward`] sharded over fixed [`SHARD_ROWS`]-row chunks.
-pub fn value_forward_sharded(mlp: &Mlp, obs: &[f32], rows: usize, sh: &mut ShardedScratch) {
-    use rayon::prelude::*;
-    assert!(rows > 0, "fused value forward needs at least one row");
-    assert_eq!(mlp.out_dim(), 1, "critic must emit one value per row");
-    assert_eq!(obs.len(), rows * mlp.in_dim(), "observation volume");
-    let od = mlp.in_dim();
-    let n_chunks = rows.div_ceil(SHARD_ROWS);
-    sh.ensure_chunks(n_chunks);
-    sh.n = rows;
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, rows);
-            value_forward(mlp, &obs[lo * od..hi * od], hi - lo, &mut cs[0].s);
-        });
-}
-
-/// [`value_loss_and_grads`] sharded over the same fixed chunks as
-/// [`value_forward_sharded`] (which must run first); same contract as
-/// [`policy_loss_and_grads_sharded`].
-pub fn value_loss_and_grads_sharded(
-    mlp: &Mlp,
-    obs: &[f32],
-    returns: &[f32],
-    rows: usize,
-    sh: &mut ShardedScratch,
-) -> f32 {
-    use rayon::prelude::*;
-    assert_eq!(sh.n, rows, "run value_forward_sharded first");
-    assert_eq!(returns.len(), rows, "one return target per row");
-    let od = mlp.in_dim();
-    let n_chunks = rows.div_ceil(SHARD_ROWS);
-    sh.chunks[..n_chunks]
-        .par_chunks_mut(1)
-        .enumerate()
-        .for_each(|(c, cs)| {
-            let (lo, hi) = chunk_bounds(c, rows);
-            let chunk = &mut cs[0];
-            chunk.sq = value_backward_scaled(
-                mlp,
-                &obs[lo * od..hi * od],
-                &returns[lo..hi],
-                hi - lo,
-                rows,
-                &mut chunk.s,
-            );
-        });
-    let mut sq_sum = 0.0f32;
-    for c in &sh.chunks[..n_chunks] {
-        sq_sum += c.sq;
-    }
-    merge_chunk_grads(&mut sh.chunks[..n_chunks]);
-    sq_sum / rows as f32
 }
 
 #[cfg(test)]
@@ -914,151 +615,55 @@ mod tests {
     }
 
     #[test]
-    fn single_chunk_sharded_matches_monolithic_bitwise() {
-        // Batches of ≤ SHARD_ROWS transitions are one chunk, where the
-        // sharded arm must be bit-identical to the monolithic one.
-        let net = mlp(&[4, 16, 8, 1], 11);
-        let n = SHARD_ROWS; // exactly one full chunk
-        let window = 6;
-        let c = policy_case(n, 4, window, window);
-        let p = FusedPolicy {
-            mlp: &net,
-            head: FusedHead::Kernel { window },
-        };
-
-        let mut mono = FusedScratch::new();
-        policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut mono);
-        let lm = policy_loss_and_grads(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut mono,
-        );
-
-        let mut sh = ShardedScratch::new();
-        policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-        assert_eq!(sh.logp_all(), mono.logp_all(), "stitched logp diagnostics");
-        assert_eq!(sh.selected_logp(), mono.selected_logp(), "selected logp");
-        let ls = policy_loss_and_grads_sharded(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut sh,
-        );
-
-        assert_eq!(ls, lm, "single-chunk sharded loss must equal monolithic");
-        for (i, (a, b)) in sh.grads().iter().zip(mono.grads()).enumerate() {
-            assert_eq!(a.data(), b.data(), "policy grad {i}");
-        }
-
-        // Value side on the same batch size.
-        let vnet = mlp(&[5, 16, 1], 13);
-        let vobs = filled(n * 5, 0.7, 0.2);
-        let rets = filled(n, 2.0, 1.3);
-        let mut vm = FusedScratch::new();
-        value_forward(&vnet, &vobs, n, &mut vm);
-        let vlm = value_loss_and_grads(&vnet, &vobs, &rets, n, &mut vm);
-        let mut vs = ShardedScratch::new();
-        value_forward_sharded(&vnet, &vobs, n, &mut vs);
-        let vls = value_loss_and_grads_sharded(&vnet, &vobs, &rets, n, &mut vs);
-        assert_eq!(vls, vlm, "single-chunk sharded value loss");
-        for (i, (a, b)) in vs.grads().iter().zip(vm.grads()).enumerate() {
-            assert_eq!(a.data(), b.data(), "value grad {i}");
-        }
-    }
-
-    #[test]
-    fn sharded_forward_diagnostics_match_monolithic_across_chunks() {
-        // Row-count-invariant kernels: even when the batch spans several
-        // chunks, the stitched per-row forward diagnostics are bit-equal
-        // to the monolithic forward.
-        let net = mlp(&[6, 16, 9], 17);
-        let n = 2 * SHARD_ROWS + 19; // three chunks, last ragged
-        let c = policy_case(n, 6, 9, 1);
-        let p = FusedPolicy {
-            mlp: &net,
-            head: FusedHead::Flat,
-        };
-        let mut mono = FusedScratch::new();
-        policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut mono);
-        let mut sh = ShardedScratch::new();
-        policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-        assert_eq!(sh.logp_all(), mono.logp_all(), "stitched logp matrix");
-        assert_eq!(sh.selected_logp(), mono.selected_logp(), "selected logp");
-    }
-
-    #[test]
-    fn sharded_backward_is_thread_count_invariant() {
-        // The determinism contract: identical bits (loss, every gradient,
-        // diagnostics) at every worker count, pinned against 1 worker.
-        let pnet = mlp(&[4, 16, 8, 1], 23);
-        let vnet = mlp(&[7, 16, 1], 29);
-        let n = 3 * SHARD_ROWS + 7; // four chunks, last ragged
-        let window = 5;
-        let c = policy_case(n, 4, window, window);
-        let p = FusedPolicy {
-            mlp: &pnet,
-            head: FusedHead::Kernel { window },
-        };
-        let vobs = filled(n * 7, 0.6, 0.8);
-        let rets = filled(n, 1.8, 0.5);
-
-        let run = |threads: usize| {
-            rayon::with_threads(threads, || {
-                let mut sh = ShardedScratch::new();
-                policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-                let pl = policy_loss_and_grads_sharded(
-                    &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut sh,
-                );
-                let pg: Vec<Vec<f32>> = sh.grads().iter().map(|t| t.data().to_vec()).collect();
-                let diag = (sh.logp_all().to_vec(), sh.selected_logp().to_vec());
-                let mut vs = ShardedScratch::new();
-                value_forward_sharded(&vnet, &vobs, n, &mut vs);
-                let vl = value_loss_and_grads_sharded(&vnet, &vobs, &rets, n, &mut vs);
-                let vg: Vec<Vec<f32>> = vs.grads().iter().map(|t| t.data().to_vec()).collect();
-                (pl, pg, diag, vl, vg)
-            })
-        };
-
-        let base = run(1);
-        for k in [2usize, 3, 7] {
-            let got = run(k);
-            assert_eq!(
-                got.0.to_bits(),
-                base.0.to_bits(),
-                "policy loss at {k} workers"
-            );
-            assert_eq!(got.1, base.1, "policy grads at {k} workers");
-            assert_eq!(got.2, base.2, "forward diagnostics at {k} workers");
-            assert_eq!(
-                got.3.to_bits(),
-                base.3.to_bits(),
-                "value loss at {k} workers"
-            );
-            assert_eq!(got.4, base.4, "value grads at {k} workers");
-        }
-    }
-
-    #[test]
-    fn chunk_partials_sum_to_monolithic_gradient_numerically() {
-        // Across chunk boundaries only the f32 association changes: the
-        // sharded gradient must agree with the monolithic one to fp
-        // tolerance (bit-equality across arms is only promised ≤ one
-        // chunk).
+    fn chunk_partials_sum_to_whole_batch_gradient_numerically() {
+        // Seeding each chunk's backward with the whole batch size makes
+        // the chunk gradients partials of the whole-batch gradient: their
+        // sum agrees with one whole-batch backward up to f32 association.
         let net = mlp(&[5, 16, 4], 31);
-        let n = SHARD_ROWS + 21;
+        let n = 85;
+        let split = 64;
         let c = policy_case(n, 5, 4, 1);
         let p = FusedPolicy {
             mlp: &net,
             head: FusedHead::Flat,
         };
-        let mut mono = FusedScratch::new();
-        policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut mono);
-        let lm = policy_loss_and_grads(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.0, n, &mut mono,
+        let mut whole = FusedScratch::new();
+        policy_forward(&p, &c.obs, &c.masks, &c.actions, n, &mut whole);
+        let lw = policy_loss_and_grads(
+            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.01, n, &mut whole,
         );
-        let mut sh = ShardedScratch::new();
-        policy_forward_sharded(&p, &c.obs, &c.masks, &c.actions, n, &mut sh);
-        let ls = policy_loss_and_grads_sharded(
-            &p, &c.obs, &c.actions, &c.adv, &c.old, 0.2, 0.0, n, &mut sh,
-        );
-        assert!((ls - lm).abs() <= 1e-6, "loss drifted: {ls} vs {lm}");
-        for (i, (a, b)) in sh.grads().iter().zip(mono.grads()).enumerate() {
-            for (x, y) in a.data().iter().zip(b.data()) {
+        let mut obj = 0.0f32;
+        let mut ent = 0.0f32;
+        let mut sum: Vec<Vec<f32>> = whole.grads().iter().map(|t| vec![0.0; t.len()]).collect();
+        for (lo, hi) in [(0, split), (split, n)] {
+            let mut s = FusedScratch::new();
+            let obs = &c.obs[lo * 5..hi * 5];
+            let acts = &c.actions[lo..hi];
+            policy_forward(&p, obs, &c.masks[lo * 4..hi * 4], acts, hi - lo, &mut s);
+            let (o, e) = policy_backward_scaled(
+                &p,
+                obs,
+                acts,
+                &c.adv[lo..hi],
+                &c.old[lo..hi],
+                0.2,
+                0.01,
+                hi - lo,
+                n,
+                &mut s,
+            );
+            obj += o;
+            ent += e;
+            for (acc, g) in sum.iter_mut().zip(s.grads()) {
+                for (a, &v) in acc.iter_mut().zip(g.data()) {
+                    *a += v;
+                }
+            }
+        }
+        let lc = -(obj / n as f32) + (ent / n as f32) * 0.01;
+        assert!((lc - lw).abs() <= 1e-6, "loss drifted: {lc} vs {lw}");
+        for (i, (a, b)) in sum.iter().zip(whole.grads()).enumerate() {
+            for (x, y) in a.iter().zip(b.data()) {
                 assert!(
                     (x - y).abs() <= 1e-4 * (1.0 + y.abs()),
                     "grad {i}: {x} vs {y}"

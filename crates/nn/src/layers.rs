@@ -61,9 +61,10 @@ impl ParamBinds {
         Self::default()
     }
 
-    /// Bind one parameter tensor onto the tape.
+    /// Bind one parameter tensor onto the tape (copied into the tape's
+    /// pooled memory, so a reused graph binds without allocating).
     pub fn bind(&mut self, g: &mut Graph, t: &Tensor) -> Var {
-        let v = g.param(t.clone());
+        let v = g.param_from(t);
         self.vars.push(v);
         v
     }

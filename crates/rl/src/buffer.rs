@@ -1,11 +1,11 @@
 //! Rollout storage with Generalized Advantage Estimation.
 //!
-//! Mirrors the Spinning Up `PPOBuffer`: during an episode, per-step
-//! observations, masks, actions, rewards, value estimates and sampled
-//! log-probs are appended; `finish_path` closes the episode and computes
-//! GAE-λ advantages and reward-to-go returns. The batch-job reward
-//! structure of the paper — zero intermediate rewards, full metric at the
-//! last action (§IV-A) — is just a special case.
+//! Mirrors the Spinning Up `PPOBuffer`: per-step observations, masks,
+//! actions, rewards, value estimates and sampled log-probs are appended;
+//! closing an episode computes its GAE-λ advantages and reward-to-go
+//! returns. The batch-job reward structure of the paper — zero
+//! intermediate rewards, full metric at the last action (§IV-A) — is
+//! just a special case.
 
 use rlsched_nn::Tensor;
 
@@ -38,154 +38,12 @@ impl Batch {
     }
 }
 
-/// Episode-granular rollout buffer.
-#[derive(Debug, Clone)]
-pub struct RolloutBuffer {
-    obs_dim: usize,
-    n_actions: usize,
-    gamma: f64,
-    lam: f64,
-    obs: Vec<f32>,
-    masks: Vec<f32>,
-    actions: Vec<usize>,
-    rewards: Vec<f64>,
-    values: Vec<f64>,
-    logps: Vec<f32>,
-    advantages: Vec<f64>,
-    returns: Vec<f64>,
-    path_start: usize,
-}
-
-impl RolloutBuffer {
-    /// An empty buffer for `(obs_dim, n_actions)` transitions.
-    pub fn new(obs_dim: usize, n_actions: usize, gamma: f64, lam: f64) -> Self {
-        RolloutBuffer {
-            obs_dim,
-            n_actions,
-            gamma,
-            lam,
-            obs: Vec::new(),
-            masks: Vec::new(),
-            actions: Vec::new(),
-            rewards: Vec::new(),
-            values: Vec::new(),
-            logps: Vec::new(),
-            advantages: Vec::new(),
-            returns: Vec::new(),
-            path_start: 0,
-        }
-    }
-
-    /// Append one step of the current episode.
-    pub fn store(
-        &mut self,
-        obs: &[f32],
-        mask: &[f32],
-        action: usize,
-        reward: f64,
-        value: f64,
-        logp: f32,
-    ) {
-        assert_eq!(obs.len(), self.obs_dim, "observation width");
-        assert_eq!(mask.len(), self.n_actions, "mask width");
-        assert!(action < self.n_actions, "action out of range");
-        self.obs.extend_from_slice(obs);
-        self.masks.extend_from_slice(mask);
-        self.actions.push(action);
-        self.rewards.push(reward);
-        self.values.push(value);
-        self.logps.push(logp);
-    }
-
-    /// Close the current episode. `last_value` bootstraps a truncated
-    /// episode (0.0 for terminal states, as in scheduling episodes that
-    /// always run to completion).
-    pub fn finish_path(&mut self, last_value: f64) {
-        let start = self.path_start;
-        let end = self.rewards.len();
-        assert!(end > start, "finish_path on an empty episode");
-        self.advantages.resize(end, 0.0);
-        self.returns.resize(end, 0.0);
-        gae_and_returns(
-            end - start,
-            last_value,
-            self.gamma,
-            self.lam,
-            |i| start + i,
-            &self.rewards,
-            &self.values,
-            &mut self.advantages,
-            &mut self.returns,
-        );
-        self.path_start = end;
-    }
-
-    /// Steps stored so far (finished or not).
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Sum of rewards of all finished episodes.
-    pub fn total_reward(&self) -> f64 {
-        self.rewards[..self.path_start].iter().sum()
-    }
-
-    /// Merge finished episodes from several buffers into one training
-    /// batch, normalizing advantages to zero mean / unit variance across
-    /// the whole batch (the Spinning Up "advantage normalization trick").
-    pub fn into_batch(buffers: Vec<RolloutBuffer>) -> Batch {
-        assert!(!buffers.is_empty());
-        let obs_dim = buffers[0].obs_dim;
-        let n_actions = buffers[0].n_actions;
-        let mut obs = Vec::new();
-        let mut masks = Vec::new();
-        let mut actions = Vec::new();
-        let mut advantages: Vec<f64> = Vec::new();
-        let mut returns = Vec::new();
-        let mut logp_old = Vec::new();
-        for b in &buffers {
-            assert_eq!(b.obs_dim, obs_dim);
-            assert_eq!(b.n_actions, n_actions);
-            assert_eq!(
-                b.path_start,
-                b.actions.len(),
-                "all episodes must be finished before batching"
-            );
-            let n = b.path_start;
-            obs.extend_from_slice(&b.obs[..n * obs_dim]);
-            masks.extend_from_slice(&b.masks[..n * n_actions]);
-            actions.extend_from_slice(&b.actions[..n]);
-            advantages.extend_from_slice(&b.advantages[..n]);
-            returns.extend(b.returns[..n].iter().map(|&r| r as f32));
-            logp_old.extend_from_slice(&b.logps[..n]);
-        }
-        let n = actions.len();
-        assert!(n > 0, "empty batch");
-        let advantages = normalize_advantages(&advantages);
-
-        Batch {
-            obs: Tensor::from_vec(obs, &[n, obs_dim]),
-            masks: Tensor::from_vec(masks, &[n, n_actions]),
-            actions,
-            advantages,
-            returns,
-            logp_old,
-        }
-    }
-}
-
 /// GAE-λ advantages and reward-to-go returns for one `n`-step episode,
 /// bootstrapped with `last_value`: `delta_t = r_t + γ V_{t+1} − V_t`,
 /// `A_t = Σ_k (γλ)^k delta_{t+k}`. `row` maps the episode's step index
-/// to its storage row in the reward/value (and output) arrays — the ONE
-/// recurrence shared by the contiguous per-episode [`RolloutBuffer`] and
-/// the interleaved [`ArrivalArena`], so the two can never drift apart.
-#[allow(clippy::too_many_arguments)] // the full GAE term list, both storages
+/// to its storage row in the reward/value (and output) arrays, so the
+/// interleaved [`ArrivalArena`] runs the plain per-episode recurrence.
+#[allow(clippy::too_many_arguments)] // the full GAE term list + the row map
 fn gae_and_returns(
     n: usize,
     last_value: f64,
@@ -239,20 +97,19 @@ fn normalize_advantages(advantages: &[f64]) -> Vec<f32> {
 /// Arrival-order rollout arena for the lockstep sampler.
 ///
 /// The lockstep loop produces one transition per live episode per tick —
-/// interleaved across episodes. Staging those rows into one
-/// [`RolloutBuffer`] per episode means every tick scatters its stores
-/// across N growing buffers (N distinct cache tails at lockstep width N)
-/// and the final [`RolloutBuffer::into_batch`] re-copies everything
-/// anyway. The arena instead appends every row to **one** contiguous
-/// tail in arrival order, remembers each episode's row indices, and
-/// performs a single episode-ordered gather at the end.
+/// interleaved across episodes. Staging those rows into one buffer per
+/// episode would scatter every tick's stores across N growing buffers
+/// (N distinct cache tails at lockstep width N) and re-copy everything
+/// at batch time anyway. The arena instead appends every row to **one**
+/// contiguous tail in arrival order, remembers each episode's row
+/// indices, and performs a single episode-ordered gather at the end.
 ///
 /// Bit-identity contract: [`ArrivalArena::into_batch`] produces exactly
-/// the [`Batch`] that per-episode buffers merged through
-/// [`RolloutBuffer::into_batch`] would — GAE runs per episode over the
-/// same values in the same order, and the episode-ordered gather feeds
-/// advantage normalization the same merged sequence. The `vecenv_parity`
-/// suites pin this on both kernel dispatch arms.
+/// the [`Batch`] that contiguous per-episode buffers merged in episode
+/// order would — GAE runs per episode over the same values in the same
+/// order, and the episode-ordered gather feeds advantage normalization
+/// the same merged sequence (pinned against a per-episode reference
+/// buffer in this module's tests).
 #[derive(Debug)]
 pub struct ArrivalArena {
     obs_dim: usize,
@@ -297,7 +154,7 @@ impl ArrivalArena {
 
     /// Append one step of `episode` (steps of one episode must arrive in
     /// order; different episodes may interleave freely).
-    #[allow(clippy::too_many_arguments)] // RolloutBuffer::store's row + the episode key
+    #[allow(clippy::too_many_arguments)] // one transition's fields + the episode key
     pub fn store(
         &mut self,
         episode: usize,
@@ -328,8 +185,7 @@ impl ArrivalArena {
     }
 
     /// Close `episode`, computing its GAE-λ advantages and reward-to-go
-    /// returns over its rows through the same [`gae_and_returns`]
-    /// recurrence [`RolloutBuffer::finish_path`] runs.
+    /// returns over its rows through [`gae_and_returns`].
     pub fn finish_episode(&mut self, episode: usize, last_value: f64) {
         let rows = &self.rows[episode];
         assert!(!rows.is_empty(), "finish_episode on an empty episode");
@@ -349,9 +205,7 @@ impl ArrivalArena {
     }
 
     /// One episode-ordered gather into a merged, advantage-normalized
-    /// training batch — bit-identical to staging per-episode
-    /// [`RolloutBuffer`]s and merging them with
-    /// [`RolloutBuffer::into_batch`] in episode order.
+    /// training batch.
     pub fn into_batch(self) -> Batch {
         Self::merge_into_batch(vec![self])
     }
@@ -397,8 +251,7 @@ impl ArrivalArena {
             }
         }
 
-        // Advantage normalization over the merged episode order — the
-        // same helper `RolloutBuffer::into_batch` runs.
+        // Advantage normalization over the merged episode order.
         let advantages = normalize_advantages(&advantages);
 
         Batch {
@@ -410,41 +263,143 @@ impl ArrivalArena {
             logp_old,
         }
     }
-
-    /// Replay the arena into per-episode [`RolloutBuffer`]s (episode
-    /// order) — the compatibility path for callers that want per-episode
-    /// granularity; contents are bit-identical to having staged per
-    /// episode from the start.
-    pub fn into_episode_buffers(self) -> Vec<RolloutBuffer> {
-        self.rows
-            .iter()
-            .enumerate()
-            .map(|(ep, rows)| {
-                let mut buf =
-                    RolloutBuffer::new(self.obs_dim, self.n_actions, self.gamma, self.lam);
-                for &row in rows {
-                    let r = row as usize;
-                    buf.store(
-                        &self.obs[r * self.obs_dim..(r + 1) * self.obs_dim],
-                        &self.masks[r * self.n_actions..(r + 1) * self.n_actions],
-                        self.actions[r],
-                        self.rewards[r],
-                        self.values[r],
-                        self.logps[r],
-                    );
-                }
-                if let Some(last_value) = self.finished[ep] {
-                    buf.finish_path(last_value);
-                }
-                buf
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Episode-granular rollout buffer: the contiguous per-episode
+    /// reference the arena's GAE and batch assembly are checked against.
+    #[derive(Debug, Clone)]
+    struct RolloutBuffer {
+        obs_dim: usize,
+        n_actions: usize,
+        gamma: f64,
+        lam: f64,
+        obs: Vec<f32>,
+        masks: Vec<f32>,
+        actions: Vec<usize>,
+        rewards: Vec<f64>,
+        values: Vec<f64>,
+        logps: Vec<f32>,
+        advantages: Vec<f64>,
+        returns: Vec<f64>,
+        path_start: usize,
+    }
+
+    impl RolloutBuffer {
+        /// An empty buffer for `(obs_dim, n_actions)` transitions.
+        fn new(obs_dim: usize, n_actions: usize, gamma: f64, lam: f64) -> Self {
+            RolloutBuffer {
+                obs_dim,
+                n_actions,
+                gamma,
+                lam,
+                obs: Vec::new(),
+                masks: Vec::new(),
+                actions: Vec::new(),
+                rewards: Vec::new(),
+                values: Vec::new(),
+                logps: Vec::new(),
+                advantages: Vec::new(),
+                returns: Vec::new(),
+                path_start: 0,
+            }
+        }
+
+        /// Append one step of the current episode.
+        fn store(
+            &mut self,
+            obs: &[f32],
+            mask: &[f32],
+            action: usize,
+            reward: f64,
+            value: f64,
+            logp: f32,
+        ) {
+            assert_eq!(obs.len(), self.obs_dim, "observation width");
+            assert_eq!(mask.len(), self.n_actions, "mask width");
+            assert!(action < self.n_actions, "action out of range");
+            self.obs.extend_from_slice(obs);
+            self.masks.extend_from_slice(mask);
+            self.actions.push(action);
+            self.rewards.push(reward);
+            self.values.push(value);
+            self.logps.push(logp);
+        }
+
+        /// Close the current episode. `last_value` bootstraps a truncated
+        /// episode (0.0 for terminal states, as in scheduling episodes that
+        /// always run to completion).
+        fn finish_path(&mut self, last_value: f64) {
+            let start = self.path_start;
+            let end = self.rewards.len();
+            assert!(end > start, "finish_path on an empty episode");
+            self.advantages.resize(end, 0.0);
+            self.returns.resize(end, 0.0);
+            gae_and_returns(
+                end - start,
+                last_value,
+                self.gamma,
+                self.lam,
+                |i| start + i,
+                &self.rewards,
+                &self.values,
+                &mut self.advantages,
+                &mut self.returns,
+            );
+            self.path_start = end;
+        }
+
+        /// Sum of rewards of all finished episodes.
+        fn total_reward(&self) -> f64 {
+            self.rewards[..self.path_start].iter().sum()
+        }
+
+        /// Merge finished episodes from several buffers into one training
+        /// batch, normalizing advantages to zero mean / unit variance across
+        /// the whole batch (the Spinning Up "advantage normalization trick").
+        fn into_batch(buffers: Vec<RolloutBuffer>) -> Batch {
+            assert!(!buffers.is_empty());
+            let obs_dim = buffers[0].obs_dim;
+            let n_actions = buffers[0].n_actions;
+            let mut obs = Vec::new();
+            let mut masks = Vec::new();
+            let mut actions = Vec::new();
+            let mut advantages: Vec<f64> = Vec::new();
+            let mut returns = Vec::new();
+            let mut logp_old = Vec::new();
+            for b in &buffers {
+                assert_eq!(b.obs_dim, obs_dim);
+                assert_eq!(b.n_actions, n_actions);
+                assert_eq!(
+                    b.path_start,
+                    b.actions.len(),
+                    "all episodes must be finished before batching"
+                );
+                let n = b.path_start;
+                obs.extend_from_slice(&b.obs[..n * obs_dim]);
+                masks.extend_from_slice(&b.masks[..n * n_actions]);
+                actions.extend_from_slice(&b.actions[..n]);
+                advantages.extend_from_slice(&b.advantages[..n]);
+                returns.extend(b.returns[..n].iter().map(|&r| r as f32));
+                logp_old.extend_from_slice(&b.logps[..n]);
+            }
+            let n = actions.len();
+            assert!(n > 0, "empty batch");
+            let advantages = normalize_advantages(&advantages);
+
+            Batch {
+                obs: Tensor::from_vec(obs, &[n, obs_dim]),
+                masks: Tensor::from_vec(masks, &[n, n_actions]),
+                actions,
+                advantages,
+                returns,
+                logp_old,
+            }
+        }
+    }
 
     fn simple_buffer(rewards: &[f64], values: &[f64], gamma: f64, lam: f64) -> RolloutBuffer {
         let mut b = RolloutBuffer::new(2, 3, gamma, lam);
@@ -556,8 +511,7 @@ mod tests {
     #[test]
     fn arena_matches_per_episode_buffers_bitwise() {
         // Interleaved arrival across 3 episodes of different lengths must
-        // produce exactly the batch (and the replayed buffers) that
-        // per-episode staging produces.
+        // produce exactly the batch that per-episode staging produces.
         let (gamma, lam) = (0.9, 0.95);
         let mut arena = ArrivalArena::new(2, 3, gamma, lam, 3);
         let mut bufs: Vec<RolloutBuffer> = (0..3)
@@ -590,25 +544,6 @@ mod tests {
             arena.finish_episode(ep, 0.0);
             buf.finish_path(0.0);
         }
-        let replayed = {
-            let mut a2 = ArrivalArena::new(2, 3, gamma, lam, 3);
-            for &(ep, t) in schedule {
-                let obs = [ep as f32 + t as f32 * 0.1, -(t as f32)];
-                a2.store(
-                    ep,
-                    &obs,
-                    &[0.0, 0.0, 0.0],
-                    (ep + t) % 3,
-                    (t as f64 + 1.0) * if ep == 1 { -1.0 } else { 0.5 },
-                    ep as f64 * 0.3 + t as f64 * 0.01,
-                    -0.5 - t as f32 * 0.1,
-                );
-            }
-            for ep in 0..3 {
-                a2.finish_episode(ep, 0.0);
-            }
-            a2.into_episode_buffers()
-        };
         let from_arena = arena.into_batch();
         let from_bufs = RolloutBuffer::into_batch(bufs);
         assert_eq!(from_arena.obs.data(), from_bufs.obs.data());
@@ -617,10 +552,6 @@ mod tests {
         assert_eq!(from_arena.advantages, from_bufs.advantages);
         assert_eq!(from_arena.returns, from_bufs.returns);
         assert_eq!(from_arena.logp_old, from_bufs.logp_old);
-        // And the replay path merges to the same bits.
-        let from_replay = RolloutBuffer::into_batch(replayed);
-        assert_eq!(from_replay.advantages, from_bufs.advantages);
-        assert_eq!(from_replay.obs.data(), from_bufs.obs.data());
     }
 
     #[test]

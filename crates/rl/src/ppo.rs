@@ -261,7 +261,7 @@ impl Default for PpoConfig {
 }
 
 /// Diagnostics of one [`Ppo::update`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct UpdateStats {
     /// Surrogate loss before the first policy step.
     pub pi_loss_before: f32,
@@ -282,16 +282,18 @@ pub struct UpdateStats {
 /// Wall-clock attribution of one [`Ppo::update`], accumulated across its
 /// policy and value iterations: minibatch gather, network forwards,
 /// backward/gradient work, and the optimizer step. Filled by
-/// [`Ppo::update_profiled`] on either dispatch arm (the phases map 1:1
-/// between the fused and tape paths, so regressions are attributable).
+/// [`Ppo::update_profiled`] on either chunk backend (the phases map 1:1
+/// between the fused and tape backends, so regressions are
+/// attributable).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UpdateProfile {
     /// Minibatch row gather into the reusable staging buffers.
     pub gather: Duration,
-    /// Actor/critic forward passes (tape: graph build + eager eval).
+    /// Actor/critic forward passes over every chunk (tape: graph build
+    /// + eager eval, loss tail included).
     pub forward: Duration,
-    /// Loss tail + backward gradient computation (tape: `backward` +
-    /// gradient extraction).
+    /// Loss tail + backward gradient computation over every chunk, and
+    /// the chunk gradient merge (tape: `backward` + gradient copy-out).
     pub backward: Duration,
     /// Gradient clipping + Adam step.
     pub optimizer: Duration,
@@ -304,6 +306,13 @@ impl UpdateProfile {
     }
 }
 
+/// Rows (transitions) per chunk of the PPO minibatch loop. Chunk
+/// boundaries are a pure function of the minibatch size and this
+/// constant — never of the machine or the worker count — so the
+/// chunk-index-ordered gradient merge gives identical bits at every
+/// thread count.
+pub const SHARD_ROWS: usize = 64;
+
 /// The PPO agent: actor, critic, optimizers, config.
 pub struct Ppo<P: PolicyModel, V: ValueModel> {
     /// The actor network.
@@ -315,27 +324,25 @@ pub struct Ppo<P: PolicyModel, V: ValueModel> {
     pi_opt: Adam,
     vf_opt: Adam,
     update_rng: rand::rngs::StdRng,
-    /// Fused-update scratch for the actor (persists across updates so
-    /// the fast path allocates nothing at steady state).
-    pi_fused: fused::FusedScratch,
-    /// Fused-update scratch for the critic.
-    vf_fused: fused::FusedScratch,
-    /// Sharded-update scratch for the actor (the multi-core arm).
-    pi_shard: fused::ShardedScratch,
-    /// Sharded-update scratch for the critic.
-    vf_shard: fused::ShardedScratch,
-    /// Worker-count hint for [`Ppo::update`]: `>= 2` routes the fused
-    /// update through the sharded arm. Not serialized — a runtime knob,
-    /// not part of the agent's state.
-    update_threads: usize,
-    /// Reusable minibatch gather buffers, shared by both update arms.
+    /// Per-chunk state of the actor's minibatch loop (persists across
+    /// updates so the fused backend allocates nothing at steady state).
+    pi_chunks: Vec<Chunk>,
+    /// Per-chunk state of the critic's minibatch loop.
+    vf_chunks: Vec<Chunk>,
+    /// Reusable minibatch gather buffers, shared by both backends.
     mb: MiniBuf,
 }
 
 impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
-    /// Assemble an agent.
+    /// Assemble an agent. Panics on `minibatch: Some(0)` (an empty
+    /// minibatch has no gradient).
     pub fn new(policy: P, value: V, cfg: PpoConfig) -> Self {
         use rand::SeedableRng;
+        assert_ne!(
+            cfg.minibatch,
+            Some(0),
+            "minibatch must hold at least one row"
+        );
         let pi_opt = Adam::new(cfg.pi_lr);
         let vf_opt = Adam::new(cfg.vf_lr);
         let update_rng = rand::rngs::StdRng::seed_from_u64(cfg.update_seed);
@@ -346,25 +353,10 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             pi_opt,
             vf_opt,
             update_rng,
-            pi_fused: fused::FusedScratch::new(),
-            vf_fused: fused::FusedScratch::new(),
-            pi_shard: fused::ShardedScratch::new(),
-            vf_shard: fused::ShardedScratch::new(),
-            update_threads: 0,
+            pi_chunks: Vec::new(),
+            vf_chunks: Vec::new(),
             mb: MiniBuf::default(),
         }
-    }
-
-    /// Route [`Ppo::update`] through the sharded multi-core fused arm
-    /// when `n >= 2` (and the architecture is fused-eligible); `0` or
-    /// `1` keeps the monolithic dispatch byte-for-byte unchanged. The
-    /// sharded arm is deterministic at any worker count (see
-    /// [`rlsched_nn::fused::ShardedScratch`] for the contract) but is a
-    /// *different* deterministic arm from the monolithic one for batches
-    /// over [`fused::SHARD_ROWS`] rows — toggle it per training run, not
-    /// mid-stream.
-    pub fn set_update_threads(&mut self, n: usize) {
-        self.update_threads = n;
     }
 
     /// Forward the policy on a single observation via the inference fast
@@ -473,15 +465,19 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
 
     /// One PPO update over a collected batch.
     ///
-    /// Dispatches to the tape-free fused forward+backward
-    /// ([`rlsched_nn::fused`]) when both networks support it — no graph
-    /// nodes, no buffer-pool bookkeeping, zero heap allocation at steady
-    /// state — and otherwise (or under `RLSCHED_FORCE_TAPE=1`) to the
-    /// reusable-[`Graph`] tape path. The two arms are bit-identical:
-    /// gradients, Adam state, diagnostics and the minibatch RNG stream
-    /// all match exactly, so checkpoints are interchangeable and a
-    /// training run may switch arms mid-stream without perturbing a bit
-    /// (pinned by the fused-parity suites).
+    /// Every policy and value iteration splits its minibatch into fixed
+    /// [`SHARD_ROWS`]-row chunks, computes each chunk's forward and
+    /// gradient partial (mean seeds scaled by the whole minibatch size),
+    /// merges the partials with a chunk-index-ordered binary tree, and
+    /// folds the loss partials in chunk order. The chunk backend is the
+    /// tape-free fused kernels ([`rlsched_nn::fused`], chunks spread over
+    /// the rayon shim's workers, zero heap allocation at steady state)
+    /// when both networks support them, and otherwise (or under
+    /// `RLSCHED_FORCE_TAPE=1`) a per-chunk autodiff [`Graph`]. The
+    /// result is bit-identical across backends and at every worker
+    /// count: gradients, Adam state, diagnostics and the minibatch RNG
+    /// stream all match exactly, so checkpoints are interchangeable
+    /// (pinned by the fused-parity and parallel-parity suites).
     pub fn update(&mut self, batch: &Batch) -> UpdateStats {
         self.update_profiled(batch, &mut UpdateProfile::default())
     }
@@ -489,54 +485,24 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// [`Ppo::update`] with wall-clock phase attribution (gather /
     /// forward / backward / optimizer) accumulated into `prof`.
     pub fn update_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
-        rlsched_obs::span!("ppo.update");
-        if self.fused_supported() && !force_tape() {
-            if self.update_threads >= 2 {
-                self.update_fused_sharded_profiled(batch, prof)
-                    .expect("fused_supported() checked")
-            } else {
-                self.update_fused_profiled(batch, prof)
-                    .expect("fused_supported() checked")
-            }
-        } else {
-            self.update_tape_profiled(batch, prof)
-        }
+        let fused = self.fused_supported() && !force_tape();
+        self.run_update(batch, prof, fused)
     }
 
-    /// The tape arm of [`Ppo::update`], pinned regardless of
-    /// architecture support or `RLSCHED_FORCE_TAPE` — the parity
-    /// baseline the fused arm is tested and benchmarked against.
+    /// [`Ppo::update`] pinned to the tape backend regardless of
+    /// architecture support or `RLSCHED_FORCE_TAPE` — the reference the
+    /// fused backend is tested and benchmarked against.
     pub fn update_tape(&mut self, batch: &Batch) -> UpdateStats {
-        self.update_tape_profiled(batch, &mut UpdateProfile::default())
+        self.run_update(batch, &mut UpdateProfile::default(), false)
     }
 
-    /// The fused arm of [`Ppo::update`], pinned regardless of
-    /// `RLSCHED_FORCE_TAPE`; `None` when either network has no fused
-    /// description (e.g. the LeNet CNN baseline).
-    pub fn update_fused(&mut self, batch: &Batch) -> Option<UpdateStats> {
-        self.update_fused_profiled(batch, &mut UpdateProfile::default())
-    }
-
-    /// [`Ppo::update_tape`] with phase attribution.
-    ///
-    /// One [`Graph`] arena serves every iteration: [`Graph::reset`]
-    /// recycles all tape buffers between iterations, minibatch rows are
-    /// gathered into reusable buffers, and gradients are moved (not
-    /// cloned) out of the tape — at steady state the loop performs no
-    /// per-iteration heap allocation beyond the op metadata.
-    pub fn update_tape_profiled(&mut self, batch: &Batch, prof: &mut UpdateProfile) -> UpdateStats {
+    /// The one minibatch loop behind every update entry point; `fused`
+    /// picks the chunk backend (callers check [`Ppo::fused_supported`]).
+    fn run_update(&mut self, batch: &Batch, prof: &mut UpdateProfile, fused: bool) -> UpdateStats {
+        rlsched_obs::span!("ppo.update");
         assert!(!batch.is_empty(), "cannot update on an empty batch");
-        let obs_dim = batch.obs.cols();
-        let n_actions = batch.masks.cols();
-
-        let mut pi_loss_before = 0.0;
-        let mut pi_loss_after = 0.0;
-        let mut entropy = 0.0;
-        let mut approx_kl = 0.0;
-        let mut pi_iters = 0;
-
-        let mut g = Graph::new();
-        let mut binds = ParamBinds::new();
+        let (od, na) = (batch.obs.cols(), batch.masks.cols());
+        let mut stats = UpdateStats::default();
         let Ppo {
             policy,
             value,
@@ -544,410 +510,430 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             pi_opt,
             vf_opt,
             update_rng,
+            pi_chunks,
+            vf_chunks,
             mb,
-            ..
         } = self;
 
-        let eps = cfg.clip_ratio;
         for it in 0..cfg.train_pi_iters {
             let t0 = Instant::now();
             let view = iteration_view(cfg, update_rng, batch, mb);
             let n = view.actions.len();
+            let chunks = chunks_for(pi_chunks, n, fused);
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            g.reset();
-            binds.clear();
-            let o = g.input_from(view.obs, &[n, obs_dim]);
-            let m = g.input_from(view.masks, &[n, n_actions]);
-            let logp_all = policy.log_probs(&mut g, o, m, &mut binds);
-            let logp = g.select_cols(logp_all, view.actions);
-
-            // ratio = exp(logp − logp_old)
-            let old = g.input_from(view.logp_old, &[n]);
-            let diff = g.sub(logp, old);
-            let ratio = g.exp(diff);
-            let advv = g.input_from(view.advantages, &[n]);
-            let surr1 = g.mul(ratio, advv);
-            let clipped = g.clamp(ratio, 1.0 - eps, 1.0 + eps);
-            let surr2 = g.mul(clipped, advv);
-            let obj = g.min_elem(surr1, surr2);
-            let mean_obj = g.mean(obj);
-            let mut loss = g.scale(mean_obj, -1.0);
-
-            if cfg.ent_coef != 0.0 {
-                // entropy = −Σ p·logp per row; masked slots contribute 0.
-                let p = g.exp(logp_all);
-                let plogp = g.mul(p, logp_all);
-                let row = g.sum_rows(plogp);
-                let ent = g.mean(row); // = −entropy
-                let weighted = g.scale(ent, cfg.ent_coef);
-                loss = g.add(loss, weighted);
+            let fp = policy.fused().filter(|_| fused);
+            match &fp {
+                Some(fp) => par_chunks(chunks, |c, chunk| {
+                    let v = view.chunk(c, od, na);
+                    let rows = v.actions.len();
+                    fused::policy_forward(fp, v.obs, v.masks, v.actions, rows, chunk.fused());
+                }),
+                None => {
+                    for (c, chunk) in chunks.iter_mut().enumerate() {
+                        chunk
+                            .tape()
+                            .policy_forward(&*policy, &view.chunk(c, od, na), cfg, n);
+                    }
+                }
             }
             let t2 = Instant::now();
             prof.forward += t2 - t1;
 
-            // Diagnostics before stepping.
+            // Diagnostics before committing to a backward pass.
             let kl: f64 = view
                 .logp_old
                 .iter()
-                .zip(g.value(logp).data())
+                .zip(chunks.iter().flat_map(Chunk::selected_logp))
                 .map(|(&o, &nw)| (o - nw) as f64)
                 .sum::<f64>()
                 / n as f64;
-            approx_kl = kl;
-            if it == 0 {
-                pi_loss_before = g.value(loss).item();
-                let lp = g.value(logp_all);
-                entropy = mean_entropy(lp.data(), lp.cols());
-            }
+            stats.approx_kl = kl;
             if kl > 1.5 * cfg.target_kl && it > 0 {
                 break;
             }
-            g.backward(loss);
-            pi_loss_after = g.value(loss).item();
-            let mut grads = binds.take_grads(&mut g);
-            let t3 = Instant::now();
-            prof.backward += t3 - t2;
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(&mut grads, mx);
+            match &fp {
+                Some(fp) => par_chunks(chunks, |c, chunk| {
+                    let v = view.chunk(c, od, na);
+                    let rows = v.actions.len();
+                    (chunk.loss, chunk.ent) = fused::policy_backward_scaled(
+                        fp,
+                        v.obs,
+                        v.actions,
+                        v.advantages,
+                        v.logp_old,
+                        cfg.clip_ratio,
+                        cfg.ent_coef,
+                        rows,
+                        n,
+                        chunk.fused(),
+                    );
+                }),
+                None => {
+                    for c in chunks.iter_mut() {
+                        (c.loss, c.ent) = c.tape().backward();
+                    }
+                }
             }
-            pi_opt.step(&mut policy.params_mut(), &grads);
+            let (obj, ent) = chunks
+                .iter()
+                .fold((0.0f32, 0.0f32), |(o, e), c| (o + c.loss, e + c.ent));
+            let mut loss = -(obj / n as f32);
+            if cfg.ent_coef != 0.0 {
+                loss += (ent / n as f32) * cfg.ent_coef;
+            }
+            merge_chunk_grads(chunks);
+            prof.backward += t2.elapsed();
+            if it == 0 {
+                stats.pi_loss_before = loss;
+                let rows = chunks.iter().flat_map(|c| c.logp_all().chunks_exact(na));
+                stats.entropy = mean_entropy(rows, n);
+            }
+            stats.pi_loss_after = loss;
+
+            let t3 = Instant::now();
+            let grads = chunks[0].grads_mut();
+            if let Some(mx) = cfg.max_grad_norm {
+                clip_global_norm(grads, mx);
+            }
+            match policy.fused_mut().filter(|_| fused) {
+                Some(mlp) => pi_opt.step_params(layer_params(mlp), grads),
+                None => pi_opt.step(&mut policy.params_mut(), grads),
+            }
             prof.optimizer += t3.elapsed();
-            pi_iters = it + 1;
+            stats.pi_iters = it + 1;
         }
 
-        let mut v_loss_before = 0.0;
-        let mut v_loss_after = 0.0;
         for it in 0..cfg.train_v_iters {
             let t0 = Instant::now();
             let view = iteration_view(cfg, update_rng, batch, mb);
             let n = view.actions.len();
+            let chunks = chunks_for(vf_chunks, n, fused);
             let t1 = Instant::now();
             prof.gather += t1 - t0;
-            g.reset();
-            binds.clear();
-            let o = g.input_from(view.obs, &[n, obs_dim]);
-            let v = value.values(&mut g, o, &mut binds);
-            let r = g.input_from(view.returns, &[n, 1]);
-            let d = g.sub(v, r);
-            let sq = g.mul(d, d);
-            let loss = g.mean(sq);
+            let vm = value.fused().filter(|_| fused);
+            match vm {
+                Some(vm) => par_chunks(chunks, |c, chunk| {
+                    let v = view.chunk(c, od, na);
+                    fused::value_forward(vm, v.obs, v.returns.len(), chunk.fused());
+                }),
+                None => {
+                    for (c, chunk) in chunks.iter_mut().enumerate() {
+                        chunk
+                            .tape()
+                            .value_forward(&*value, &view.chunk(c, od, na), n);
+                    }
+                }
+            }
             let t2 = Instant::now();
             prof.forward += t2 - t1;
+            match vm {
+                Some(vm) => par_chunks(chunks, |c, chunk| {
+                    let v = view.chunk(c, od, na);
+                    let rows = v.returns.len();
+                    chunk.loss =
+                        fused::value_backward_scaled(vm, v.obs, v.returns, rows, n, chunk.fused());
+                }),
+                None => {
+                    for c in chunks.iter_mut() {
+                        c.loss = c.tape().backward().0;
+                    }
+                }
+            }
+            let loss = chunks.iter().fold(0.0f32, |s, c| s + c.loss) / n as f32;
+            merge_chunk_grads(chunks);
+            prof.backward += t2.elapsed();
             if it == 0 {
-                v_loss_before = g.value(loss).item();
+                stats.v_loss_before = loss;
             }
-            g.backward(loss);
-            v_loss_after = g.value(loss).item();
-            let mut grads = binds.take_grads(&mut g);
+            stats.v_loss_after = loss;
+
             let t3 = Instant::now();
-            prof.backward += t3 - t2;
+            let grads = chunks[0].grads_mut();
             if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(&mut grads, mx);
+                clip_global_norm(grads, mx);
             }
-            vf_opt.step(&mut value.params_mut(), &grads);
+            match value.fused_mut().filter(|_| fused) {
+                Some(mlp) => vf_opt.step_params(layer_params(mlp), grads),
+                None => vf_opt.step(&mut value.params_mut(), grads),
+            }
             prof.optimizer += t3.elapsed();
         }
+        stats
+    }
+}
 
-        UpdateStats {
-            pi_loss_before,
-            pi_loss_after,
-            v_loss_before,
-            v_loss_after,
-            approx_kl,
-            entropy,
-            pi_iters,
+/// An MLP's trainable tensors in bind order (`w0, b0, w1, b1, …`),
+/// walked in place so the fused optimizer step allocates nothing.
+fn layer_params(mlp: &mut Mlp) -> impl Iterator<Item = &mut Tensor> {
+    mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b])
+}
+
+/// The chunk slots for an `n`-row minibatch, each holding `fused`'s
+/// backend state (grown on first use, kept across iterations).
+fn chunks_for(store: &mut Vec<Chunk>, n: usize, fused: bool) -> &mut [Chunk] {
+    let k = n.div_ceil(SHARD_ROWS);
+    if store.len() < k {
+        store.resize_with(k, || Chunk {
+            state: ChunkState::new(fused),
+            loss: 0.0,
+            ent: 0.0,
+        });
+    }
+    let chunks = &mut store[..k];
+    for c in chunks.iter_mut() {
+        if fused != matches!(c.state, ChunkState::Fused(_)) {
+            c.state = ChunkState::new(fused);
+        }
+    }
+    chunks
+}
+
+/// Run `f(chunk_index, chunk)` over every chunk on the rayon shim's
+/// workers. Each chunk is one fixed task, so the results are identical
+/// at every worker count; with one worker the loop runs inline and
+/// allocates nothing.
+fn par_chunks(chunks: &mut [Chunk], f: impl Fn(usize, &mut Chunk) + Sync) {
+    use rayon::prelude::*;
+    chunks
+        .par_chunks_mut(1)
+        .enumerate()
+        .for_each(|(c, one)| f(c, &mut one[0]));
+}
+
+/// Reduce the chunks' gradient partials into chunk 0 with a
+/// chunk-index-ordered binary tree (level 0 merges (0,1),(2,3),…; level
+/// 1 merges (0,2),(4,6),…). The association is fixed by chunk index
+/// alone, so the merged bits are independent of how many workers ran the
+/// chunks, and of the backend that computed them.
+fn merge_chunk_grads(chunks: &mut [Chunk]) {
+    let n = chunks.len();
+    let mut stride = 1;
+    while stride < n {
+        let mut i = 0;
+        while i + stride < n {
+            let (head, tail) = chunks.split_at_mut(i + stride);
+            for (d, src) in head[i].grads_mut().iter_mut().zip(tail[0].grads_mut()) {
+                for (dv, &sv) in d.data_mut().iter_mut().zip(src.data()) {
+                    *dv += sv;
+                }
+            }
+            i += stride * 2;
+        }
+        stride *= 2;
+    }
+}
+
+/// One fixed [`SHARD_ROWS`]-row chunk of a minibatch iteration: its
+/// backend's forward stash and gradient partial, plus its loss partial
+/// sums (row-ascending f32 folds, folded again in chunk order).
+struct Chunk {
+    state: ChunkState,
+    /// `Σ min(s1, s2)` (actor) or `Σ (v − R)²` (critic) over the rows.
+    loss: f32,
+    /// `Σ p·logp` over the rows (actor; 0 without an entropy bonus).
+    ent: f32,
+}
+
+/// The two chunk backends of the minibatch loop.
+enum ChunkState {
+    /// The tape-free fused kernels.
+    Fused(fused::FusedScratch),
+    /// A per-chunk autodiff tape (the reference, and the only backend
+    /// for architectures the fused kernels do not describe).
+    Tape(TapeChunk),
+}
+
+impl ChunkState {
+    fn new(fused: bool) -> Self {
+        if fused {
+            ChunkState::Fused(fused::FusedScratch::new())
+        } else {
+            ChunkState::Tape(TapeChunk::default())
+        }
+    }
+}
+
+impl Chunk {
+    fn fused(&mut self) -> &mut fused::FusedScratch {
+        match &mut self.state {
+            ChunkState::Fused(s) => s,
+            ChunkState::Tape(_) => unreachable!("chunk prepared for the tape backend"),
         }
     }
 
-    /// [`Ppo::update_fused`] with phase attribution: the tape-free fast
-    /// path. Forward passes run the same SIMD kernels as the tape but
-    /// stash only the per-layer activations the analytic backward needs;
-    /// the backward is one fused dlogits pass plus the layer walk; the
-    /// optimizer steps the network's layers in place. Zero heap
-    /// allocation at steady state (pinned by `alloc_regression`).
-    pub fn update_fused_profiled(
+    fn tape(&mut self) -> &mut TapeChunk {
+        match &mut self.state {
+            ChunkState::Tape(t) => t,
+            ChunkState::Fused(_) => unreachable!("chunk prepared for the fused backend"),
+        }
+    }
+
+    /// Masked log-probs `[rows, n_actions]` of the last actor forward.
+    fn logp_all(&self) -> &[f32] {
+        match &self.state {
+            ChunkState::Fused(s) => s.logp_all(),
+            ChunkState::Tape(t) => t.value(t.logp().0),
+        }
+    }
+
+    /// Selected per-row log-probs of the last actor forward.
+    fn selected_logp(&self) -> &[f32] {
+        match &self.state {
+            ChunkState::Fused(s) => s.selected_logp(),
+            ChunkState::Tape(t) => t.value(t.logp().1),
+        }
+    }
+
+    /// Gradient partial of the last backward, in bind order.
+    fn grads_mut(&mut self) -> &mut [Tensor] {
+        match &mut self.state {
+            ChunkState::Fused(s) => s.grads_mut(),
+            ChunkState::Tape(t) => &mut t.grads,
+        }
+    }
+}
+
+/// The tape backend's chunk state: one reusable [`Graph`] holding the
+/// chunk's loss graph from forward to backward, and the chunk's
+/// gradient partial.
+///
+/// The graph ends in `Σ`-then-`scale` nodes whose constants are the
+/// fused kernels' mean seeds (`−1/total`, `ent_coef/total`, `1/total`
+/// for a `total`-row minibatch), so the backward seeds every row
+/// exactly as [`fused::policy_backward_scaled`] /
+/// [`fused::value_backward_scaled`] do and the partials match them bit
+/// for bit.
+#[derive(Default)]
+struct TapeChunk {
+    g: Graph,
+    binds: ParamBinds,
+    vars: Option<TapeVars>,
+    grads: Vec<Tensor>,
+}
+
+/// Handles into a [`TapeChunk`]'s graph, set by its forward.
+#[derive(Clone, Copy)]
+struct TapeVars {
+    /// The scalar the backward starts from.
+    root: Var,
+    /// Per-row loss terms: `min(s1, s2)` (actor) or `(v − R)²` (critic).
+    terms: Var,
+    /// Per-row `Σ p·logp` (actor with an entropy bonus).
+    ent_rows: Option<Var>,
+    /// Masked log-probs and their selected column (actor).
+    logp: Option<(Var, Var)>,
+}
+
+impl TapeChunk {
+    fn value(&self, v: Var) -> &[f32] {
+        self.g.value(v).data()
+    }
+
+    fn logp(&self) -> (Var, Var) {
+        self.vars
+            .and_then(|v| v.logp)
+            .expect("run an actor forward first")
+    }
+
+    /// Build the clipped-surrogate (+ entropy) graph over the chunk's
+    /// rows of a `total`-row minibatch.
+    fn policy_forward<P: PolicyModel>(
         &mut self,
-        batch: &Batch,
-        prof: &mut UpdateProfile,
-    ) -> Option<UpdateStats> {
-        if !self.fused_supported() {
-            return None;
+        policy: &P,
+        v: &ViewRef<'_>,
+        cfg: &PpoConfig,
+        total: usize,
+    ) {
+        let TapeChunk { g, binds, .. } = self;
+        let n = v.actions.len();
+        g.reset();
+        binds.clear();
+        let o = g.input_from(v.obs, &[n, v.obs.len() / n]);
+        let m = g.input_from(v.masks, &[n, v.masks.len() / n]);
+        let logp_all = policy.log_probs(g, o, m, binds);
+        let logp = g.select_cols(logp_all, v.actions);
+
+        // ratio = exp(logp − logp_old)
+        let old = g.input_from(v.logp_old, &[n]);
+        let diff = g.sub(logp, old);
+        let ratio = g.exp(diff);
+        let advv = g.input_from(v.advantages, &[n]);
+        let surr1 = g.mul(ratio, advv);
+        let eps = cfg.clip_ratio;
+        let clipped = g.clamp(ratio, 1.0 - eps, 1.0 + eps);
+        let surr2 = g.mul(clipped, advv);
+        let obj = g.min_elem(surr1, surr2);
+        let obj_sum = g.sum(obj);
+        let mut root = g.scale(obj_sum, -1.0 / total as f32);
+
+        let mut ent_rows = None;
+        if cfg.ent_coef != 0.0 {
+            // Σ p·logp per row; masked slots contribute 0.
+            let p = g.exp(logp_all);
+            let plogp = g.mul(p, logp_all);
+            let row = g.sum_rows(plogp);
+            let ent_sum = g.sum(row);
+            let weighted = g.scale(ent_sum, cfg.ent_coef / total as f32);
+            root = g.add(root, weighted);
+            ent_rows = Some(row);
         }
-        assert!(!batch.is_empty(), "cannot update on an empty batch");
-        let n_actions = batch.masks.cols();
-
-        let mut pi_loss_before = 0.0;
-        let mut pi_loss_after = 0.0;
-        let mut entropy = 0.0;
-        let mut approx_kl = 0.0;
-        let mut pi_iters = 0;
-
-        let Ppo {
-            policy,
-            value,
-            cfg,
-            pi_opt,
-            vf_opt,
-            update_rng,
-            pi_fused,
-            vf_fused,
-            mb,
-            ..
-        } = self;
-
-        for it in 0..cfg.train_pi_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            {
-                let fp = policy.fused().expect("fused_supported checked");
-                fused::policy_forward(&fp, view.obs, view.masks, view.actions, n, pi_fused);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
-
-                // Diagnostics before committing to a backward pass.
-                let kl: f64 = view
-                    .logp_old
-                    .iter()
-                    .zip(pi_fused.selected_logp())
-                    .map(|(&o, &nw)| (o - nw) as f64)
-                    .sum::<f64>()
-                    / n as f64;
-                approx_kl = kl;
-                if kl > 1.5 * cfg.target_kl && it > 0 {
-                    break;
-                }
-                let loss = fused::policy_loss_and_grads(
-                    &fp,
-                    view.obs,
-                    view.actions,
-                    view.advantages,
-                    view.logp_old,
-                    cfg.clip_ratio,
-                    cfg.ent_coef,
-                    n,
-                    pi_fused,
-                );
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    pi_loss_before = loss;
-                    entropy = mean_entropy(pi_fused.logp_all(), n_actions);
-                }
-                pi_loss_after = loss;
-            }
-            let t3 = Instant::now();
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(pi_fused.grads_mut(), mx);
-            }
-            let mlp = policy.fused_mut().expect("fused_mut must pair with fused");
-            pi_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
-                pi_fused.grads(),
-            );
-            prof.optimizer += t3.elapsed();
-            pi_iters = it + 1;
-        }
-
-        let mut v_loss_before = 0.0;
-        let mut v_loss_after = 0.0;
-        for it in 0..cfg.train_v_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            {
-                let vm = value.fused().expect("fused_supported checked");
-                fused::value_forward(vm, view.obs, n, vf_fused);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
-                let loss = fused::value_loss_and_grads(vm, view.obs, view.returns, n, vf_fused);
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    v_loss_before = loss;
-                }
-                v_loss_after = loss;
-            }
-            let t3 = Instant::now();
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(vf_fused.grads_mut(), mx);
-            }
-            let mlp = value.fused_mut().expect("fused_mut must pair with fused");
-            vf_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
-                vf_fused.grads(),
-            );
-            prof.optimizer += t3.elapsed();
-        }
-
-        Some(UpdateStats {
-            pi_loss_before,
-            pi_loss_after,
-            v_loss_before,
-            v_loss_after,
-            approx_kl,
-            entropy,
-            pi_iters,
-        })
+        self.vars = Some(TapeVars {
+            root,
+            terms: obj,
+            ent_rows,
+            logp: Some((logp_all, logp)),
+        });
     }
 
-    /// The sharded multi-core arm of the fused update, pinned regardless
-    /// of the [`Ppo::set_update_threads`] knob; `None` when either
-    /// network has no fused description.
-    pub fn update_fused_sharded(&mut self, batch: &Batch) -> Option<UpdateStats> {
-        self.update_fused_sharded_profiled(batch, &mut UpdateProfile::default())
+    /// Build the squared-error graph over the chunk's rows of a
+    /// `total`-row minibatch.
+    fn value_forward<V: ValueModel>(&mut self, value: &V, v: &ViewRef<'_>, total: usize) {
+        let TapeChunk { g, binds, .. } = self;
+        let n = v.returns.len();
+        g.reset();
+        binds.clear();
+        let o = g.input_from(v.obs, &[n, v.obs.len() / n]);
+        let pred = value.values(g, o, binds);
+        let r = g.input_from(v.returns, &[n, 1]);
+        let d = g.sub(pred, r);
+        let sq = g.mul(d, d);
+        let sq_sum = g.sum(sq);
+        let root = g.scale(sq_sum, 1.0 / total as f32);
+        self.vars = Some(TapeVars {
+            root,
+            terms: sq,
+            ent_rows: None,
+            logp: None,
+        });
     }
 
-    /// [`Ppo::update_fused_sharded`] with phase attribution: the fused
-    /// update with forward/backward split over fixed
-    /// [`fused::SHARD_ROWS`]-row chunks running on the rayon shim's
-    /// workers. Bit-identical at any worker count (chunk boundaries and
-    /// the gradient-merge order depend only on the minibatch size — see
-    /// [`rlsched_nn::fused::ShardedScratch`]); per-row forward
-    /// diagnostics (KL, entropy) are bit-equal to the monolithic arm,
-    /// and single-chunk batches reproduce it exactly. Gather, clipping,
-    /// Adam steps and the minibatch RNG stream are shared with the other
-    /// arms unchanged.
-    pub fn update_fused_sharded_profiled(
-        &mut self,
-        batch: &Batch,
-        prof: &mut UpdateProfile,
-    ) -> Option<UpdateStats> {
-        if !self.fused_supported() {
-            return None;
-        }
-        assert!(!batch.is_empty(), "cannot update on an empty batch");
-        let n_actions = batch.masks.cols();
-
-        let mut pi_loss_before = 0.0;
-        let mut pi_loss_after = 0.0;
-        let mut entropy = 0.0;
-        let mut approx_kl = 0.0;
-        let mut pi_iters = 0;
-
-        let Ppo {
-            policy,
-            value,
-            cfg,
-            pi_opt,
-            vf_opt,
-            update_rng,
-            pi_shard,
-            vf_shard,
-            mb,
-            ..
-        } = self;
-
-        for it in 0..cfg.train_pi_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            {
-                let fp = policy.fused().expect("fused_supported checked");
-                fused::policy_forward_sharded(&fp, view.obs, view.masks, view.actions, n, pi_shard);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
-
-                // Diagnostics before committing to a backward pass — the
-                // stitched per-row outputs are bit-equal to the
-                // monolithic forward, so this fold matches it exactly.
-                let kl: f64 = view
-                    .logp_old
-                    .iter()
-                    .zip(pi_shard.selected_logp())
-                    .map(|(&o, &nw)| (o - nw) as f64)
-                    .sum::<f64>()
-                    / n as f64;
-                approx_kl = kl;
-                if kl > 1.5 * cfg.target_kl && it > 0 {
-                    break;
+    /// Backward from the root, copy the parameter gradients into the
+    /// chunk's partial, and return the `(Σ terms, Σ ent_rows)` partial
+    /// sums (row-ascending, like the fused kernels' folds).
+    fn backward(&mut self) -> (f32, f32) {
+        let vars = self.vars.expect("run a tape forward first");
+        self.g.backward(vars.root);
+        if self.grads.len() != self.binds.vars().len() {
+            self.grads = self.binds.take_grads(&mut self.g);
+        } else {
+            for (dst, &p) in self.grads.iter_mut().zip(self.binds.vars()) {
+                match self.g.grad(p) {
+                    Some(gr) => dst.data_mut().copy_from_slice(gr.data()),
+                    None => dst.data_mut().fill(0.0),
                 }
-                let loss = fused::policy_loss_and_grads_sharded(
-                    &fp,
-                    view.obs,
-                    view.actions,
-                    view.advantages,
-                    view.logp_old,
-                    cfg.clip_ratio,
-                    cfg.ent_coef,
-                    n,
-                    pi_shard,
-                );
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    pi_loss_before = loss;
-                    entropy = mean_entropy(pi_shard.logp_all(), n_actions);
-                }
-                pi_loss_after = loss;
             }
-            let t3 = Instant::now();
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(pi_shard.grads_mut(), mx);
-            }
-            let mlp = policy.fused_mut().expect("fused_mut must pair with fused");
-            pi_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
-                pi_shard.grads(),
-            );
-            prof.optimizer += t3.elapsed();
-            pi_iters = it + 1;
         }
-
-        let mut v_loss_before = 0.0;
-        let mut v_loss_after = 0.0;
-        for it in 0..cfg.train_v_iters {
-            let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
-            let t1 = Instant::now();
-            prof.gather += t1 - t0;
-            {
-                let vm = value.fused().expect("fused_supported checked");
-                fused::value_forward_sharded(vm, view.obs, n, vf_shard);
-                let t2 = Instant::now();
-                prof.forward += t2 - t1;
-                let loss =
-                    fused::value_loss_and_grads_sharded(vm, view.obs, view.returns, n, vf_shard);
-                prof.backward += t2.elapsed();
-                if it == 0 {
-                    v_loss_before = loss;
-                }
-                v_loss_after = loss;
-            }
-            let t3 = Instant::now();
-            if let Some(mx) = cfg.max_grad_norm {
-                clip_global_norm(vf_shard.grads_mut(), mx);
-            }
-            let mlp = value.fused_mut().expect("fused_mut must pair with fused");
-            vf_opt.step_params(
-                mlp.layers.iter_mut().flat_map(|l| [&mut l.w, &mut l.b]),
-                vf_shard.grads(),
-            );
-            prof.optimizer += t3.elapsed();
-        }
-
-        Some(UpdateStats {
-            pi_loss_before,
-            pi_loss_after,
-            v_loss_before,
-            v_loss_after,
-            approx_kl,
-            entropy,
-            pi_iters,
-        })
+        let sum = |v: Var| self.value(v).iter().fold(0.0f32, |a, &x| a + x);
+        (sum(vars.terms), vars.ent_rows.map_or(0.0, sum))
     }
 }
 
 /// Pick the working set for one update iteration: borrowed slices of
 /// the whole batch, or a random minibatch refilled into `mb`'s
 /// reusable buffers when configured and the batch is larger. Free
-/// function so both update arms share it (and the RNG stream) without
-/// borrowing the whole trainer.
+/// function so the update loop can call it (and advance the RNG stream)
+/// while holding disjoint borrows of the trainer.
 fn iteration_view<'a>(
     cfg: &PpoConfig,
     rng: &mut rand::rngs::StdRng,
@@ -986,6 +972,23 @@ struct ViewRef<'a> {
     advantages: &'a [f32],
     returns: &'a [f32],
     logp_old: &'a [f32],
+}
+
+impl<'a> ViewRef<'a> {
+    /// Chunk `c`'s rows, `[c·SHARD_ROWS, min((c+1)·SHARD_ROWS, n))`;
+    /// `od`/`na` are the observation/mask widths of one row.
+    fn chunk(&self, c: usize, od: usize, na: usize) -> ViewRef<'a> {
+        let lo = c * SHARD_ROWS;
+        let hi = (lo + SHARD_ROWS).min(self.actions.len());
+        ViewRef {
+            obs: &self.obs[lo * od..hi * od],
+            masks: &self.masks[lo * na..hi * na],
+            actions: &self.actions[lo..hi],
+            advantages: &self.advantages[lo..hi],
+            returns: &self.returns[lo..hi],
+            logp_old: &self.logp_old[lo..hi],
+        }
+    }
 }
 
 /// Reusable minibatch gather buffers (filled once per iteration, never
@@ -1027,12 +1030,10 @@ impl MiniBuf {
     }
 }
 
-/// Mean per-row entropy of a `[m, n]` row-major log-prob matrix (shared
-/// by both update arms' diagnostics).
-fn mean_entropy(logp_all: &[f32], n: usize) -> f32 {
-    let m = logp_all.len() / n;
+/// Mean entropy of `m` log-prob rows (folded in row order).
+fn mean_entropy<'a>(rows: impl Iterator<Item = &'a [f32]>, m: usize) -> f32 {
     let mut total = 0.0;
-    for row in logp_all.chunks_exact(n) {
+    for row in rows {
         total += MaskedCategorical::new(row).entropy();
     }
     total / m as f32
@@ -1041,7 +1042,7 @@ fn mean_entropy(logp_all: &[f32], n: usize) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::RolloutBuffer;
+    use crate::buffer::ArrivalArena;
     use crate::categorical::MASK_OFF;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1165,7 +1166,7 @@ mod tests {
 
         let mut last_mean = 0.0;
         for _epoch in 0..30 {
-            let mut buf = RolloutBuffer::new(2, n_actions, ppo.cfg.gamma, ppo.cfg.lam);
+            let mut buf = ArrivalArena::new(2, n_actions, ppo.cfg.gamma, ppo.cfg.lam, 8);
             let mut metrics = Vec::new();
             let (mut obs, mut mask) = (Vec::new(), Vec::new());
             let (mut next_obs, mut next_mask) = (Vec::new(), Vec::new());
@@ -1180,9 +1181,9 @@ mod tests {
                     next_obs.clear();
                     next_mask.clear();
                     let out = env.step(a, &mut next_obs, &mut next_mask);
-                    buf.store(&obs, &mask, a, out.reward, v, logp);
+                    buf.store(ep as usize, &obs, &mask, a, out.reward, v, logp);
                     if out.done {
-                        buf.finish_path(0.0);
+                        buf.finish_episode(ep as usize, 0.0);
                         metrics.push(out.episode_metric.unwrap());
                         break;
                     }
@@ -1191,8 +1192,7 @@ mod tests {
                 }
             }
             last_mean = metrics.iter().sum::<f64>() / metrics.len() as f64;
-            let batch = RolloutBuffer::into_batch(vec![buf]);
-            ppo.update(&batch);
+            ppo.update(&buf.into_batch());
         }
         // Max achievable per episode is 8 * 3/4 = 6; random is ~3.
         assert!(last_mean > 4.5, "bandit mean reward {last_mean}");
@@ -1204,19 +1204,19 @@ mod tests {
     #[test]
     fn update_reports_sane_stats() {
         let mut ppo = agent(3);
-        let mut buf = RolloutBuffer::new(2, 3, 1.0, 0.97);
+        let mut buf = ArrivalArena::new(2, 3, 1.0, 0.97, 4);
         let mut rng = StdRng::seed_from_u64(9);
         for i in 0..32 {
             let obs = [i as f32 / 32.0, 0.5];
             let mask = vec![0.0, 0.0, 0.0];
             let (a, logp, v) = ppo.select(&obs, &mask, &mut rng);
             let r = if i % 8 == 7 { -(i as f64) } else { 0.0 };
-            buf.store(&obs, &mask, a, r, v, logp);
+            buf.store(i / 8, &obs, &mask, a, r, v, logp);
             if i % 8 == 7 {
-                buf.finish_path(0.0);
+                buf.finish_episode(i / 8, 0.0);
             }
         }
-        let batch = RolloutBuffer::into_batch(vec![buf]);
+        let batch = buf.into_batch();
         let stats = ppo.update(&batch);
         assert!(stats.pi_iters >= 1);
         assert!(stats.entropy > 0.0 && stats.entropy <= (3.0f32).ln() + 1e-4);
@@ -1236,15 +1236,15 @@ mod tests {
             ..PpoConfig::default()
         };
         let mut ppo = Ppo::new(MlpPolicy::new(2, 3, 1), MlpValue::new(2, 2), cfg);
-        let mut buf = RolloutBuffer::new(2, 3, 1.0, 1.0);
+        let mut buf = ArrivalArena::new(2, 3, 1.0, 1.0, 16);
         let mut rng = StdRng::seed_from_u64(11);
-        for _ in 0..16 {
+        for ep in 0..16 {
             let obs = [0.5, 0.5];
             let (a, logp, v) = ppo.select(&obs, &[0.0, 0.0, 0.0], &mut rng);
-            buf.store(&obs, &[0.0, 0.0, 0.0], a, -7.0, v, logp);
-            buf.finish_path(0.0);
+            buf.store(ep, &obs, &[0.0, 0.0, 0.0], a, -7.0, v, logp);
+            buf.finish_episode(ep, 0.0);
         }
-        let batch = RolloutBuffer::into_batch(vec![buf]);
+        let batch = buf.into_batch();
         for _ in 0..5 {
             ppo.update(&batch);
         }

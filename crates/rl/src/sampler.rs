@@ -20,7 +20,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::buffer::{ArrivalArena, Batch, RolloutBuffer};
+use crate::buffer::{ArrivalArena, Batch};
 use crate::categorical::MaskedCategorical;
 use crate::env::Env;
 use crate::ppo::{ActorScratch, PolicyModel, Ppo, ValueModel};
@@ -189,42 +189,10 @@ where
     (arena, raw)
 }
 
-/// [`collect_arena_raw`] with the stats folded for presentation.
-fn collect_arena<E, P, V>(
-    ppo: &Ppo<P, V>,
-    venv: &mut VecEnv<E>,
-    seeds: &[u64],
-) -> (ArrivalArena, RolloutStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
-    let (arena, raw) = collect_arena_raw(ppo, venv, seeds);
-    (arena, raw.finalize())
-}
-
-/// Collect one complete episode per seed by stepping `venv` in lockstep,
-/// returning the per-episode buffers in seed order plus round stats.
-/// (Training uses [`collect_rollouts_vec`], which skips the per-episode
-/// split and gathers the arrival arena straight into the batch.)
-pub fn collect_episodes<E, P, V>(
-    ppo: &Ppo<P, V>,
-    venv: &mut VecEnv<E>,
-    seeds: &[u64],
-) -> (Vec<RolloutBuffer>, RolloutStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
-    let (arena, stats) = collect_arena(ppo, venv, seeds);
-    (arena.into_episode_buffers(), stats)
-}
-
 /// Collect one episode per seed through `venv` and merge into one
 /// normalized training batch: one episode-ordered gather from the
-/// arrival arena, bit-identical to merging per-episode buffers.
+/// arrival arena. `venv.n_envs()` only sets the lockstep width — the
+/// batch is the same at any width (see the module docs on parity).
 pub fn collect_rollouts_vec<E, P, V>(
     ppo: &Ppo<P, V>,
     venv: &mut VecEnv<E>,
@@ -235,29 +203,8 @@ where
     P: PolicyModel,
     V: ValueModel,
 {
-    let (arena, stats) = collect_arena(ppo, venv, seeds);
-    (arena.into_batch(), stats)
-}
-
-/// Collect one episode per `(env, seed)` pair and merge into a training
-/// batch — the historical entry point, now driven through a [`VecEnv`]
-/// borrowing the caller's environments so all live episodes score in one
-/// stacked forward per tick. Results are bit-identical to the old
-/// sequential per-env collection (see the module docs on parity).
-pub fn collect_rollouts<E, P, V>(
-    ppo: &Ppo<P, V>,
-    envs: &mut [E],
-    seeds: &[u64],
-) -> (Batch, RolloutStats)
-where
-    E: Env,
-    P: PolicyModel,
-    V: ValueModel,
-{
-    assert_eq!(envs.len(), seeds.len(), "one seed per environment");
-    assert!(!envs.is_empty(), "need at least one environment");
-    let mut venv: VecEnv<&mut E> = VecEnv::new(envs.iter_mut().collect());
-    collect_rollouts_vec(ppo, &mut venv, seeds)
+    let (arena, raw) = collect_arena_raw(ppo, venv, seeds);
+    (arena.into_batch(), raw.finalize())
 }
 
 /// Parallel rollout: partition the seed schedule into the rayon shim's
@@ -368,12 +315,20 @@ mod tests {
         )
     }
 
+    /// A lockstep `VecEnv` of `n` bandit slots.
+    fn bandits(n: usize, masked: Vec<usize>) -> VecEnv<BanditEnv> {
+        VecEnv::new(
+            (0..n)
+                .map(|_| BanditEnv::new(3, 5, masked.clone()))
+                .collect(),
+        )
+    }
+
     #[test]
-    fn collects_one_episode_per_env() {
+    fn collects_one_episode_per_seed() {
         let ppo = make_ppo();
-        let mut envs: Vec<BanditEnv> = (0..6).map(|_| BanditEnv::new(3, 5, vec![])).collect();
         let seeds: Vec<u64> = (0..6).collect();
-        let (batch, stats) = collect_rollouts(&ppo, &mut envs, &seeds);
+        let (batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(6, vec![]), &seeds);
         assert_eq!(stats.episodes, 6);
         assert_eq!(stats.steps, 30, "6 episodes x 5 steps");
         assert_eq!(batch.len(), 30);
@@ -383,11 +338,8 @@ mod tests {
     #[test]
     fn deterministic_given_seeds() {
         let ppo = make_ppo();
-        let run = || {
-            let mut envs: Vec<BanditEnv> = (0..4).map(|_| BanditEnv::new(3, 4, vec![])).collect();
-            let seeds: Vec<u64> = (10..14).collect();
-            collect_rollouts(&ppo, &mut envs, &seeds)
-        };
+        let seeds: Vec<u64> = (10..14).collect();
+        let run = || collect_rollouts_vec(&ppo, &mut bandits(4, vec![]), &seeds);
         let (b1, s1) = run();
         let (b2, s2) = run();
         assert_eq!(b1.actions, b2.actions);
@@ -452,18 +404,16 @@ mod tests {
     fn respects_masks_during_collection() {
         let ppo = make_ppo();
         // Arm 2 is masked; BanditEnv panics if a masked arm is selected.
-        let mut envs: Vec<BanditEnv> = (0..4).map(|_| BanditEnv::new(3, 6, vec![2])).collect();
         let seeds: Vec<u64> = (0..4).collect();
-        let (_batch, stats) = collect_rollouts(&ppo, &mut envs, &seeds);
+        let (_batch, stats) = collect_rollouts_vec(&ppo, &mut bandits(4, vec![2]), &seeds);
         assert_eq!(stats.episodes, 4);
     }
 
     #[test]
-    #[should_panic(expected = "one seed per environment")]
-    fn seed_count_must_match() {
+    #[should_panic(expected = "at least one episode seed")]
+    fn needs_a_seed() {
         let ppo = make_ppo();
-        let mut envs: Vec<BanditEnv> = vec![BanditEnv::new(3, 4, vec![])];
-        let _ = collect_rollouts(&ppo, &mut envs, &[1, 2]);
+        let _ = collect_rollouts_vec(&ppo, &mut bandits(1, vec![]), &[]);
     }
 
     #[test]

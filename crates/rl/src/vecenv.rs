@@ -41,7 +41,7 @@
 //! code that looped `env.reset(..); loop { env.step(..) }` per episode
 //! should construct a `VecEnv` (borrowed envs work via the blanket
 //! `impl Env for &mut E`) and use the lockstep loop, or call
-//! `sampler::collect_rollouts`, which now does exactly that internally.
+//! `sampler::collect_rollouts_vec`, which runs that loop.
 
 use rlsched_nn::Scratch;
 

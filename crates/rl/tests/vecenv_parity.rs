@@ -1,16 +1,15 @@
 //! Batched ≡ sequential rollout parity at the substrate level: a
 //! `VecEnv(n)` rollout must produce **bit-identical** trajectories
 //! (observations, masks, actions, rewards/returns, advantages, sampled
-//! log-probs) to n sequential single-env rollouts — a `VecEnv` of size 1
-//! being exactly the old per-env stepping. CI runs this suite on both
+//! log-probs) to sequential single-env collection — a `VecEnv` of size 1
+//! runs one episode at a time, exactly the old per-env stepping. CI runs this suite on both
 //! the SIMD and the `RLSCHED_FORCE_SCALAR=1` dispatch arms.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rlsched_nn::{Activation, Graph, Mlp, Network, ParamBinds, Tensor, Var};
 use rlsched_rl::{
-    collect_episodes, Batch, Env, PolicyModel, Ppo, PpoConfig, RolloutBuffer, StepOutcome,
-    ValueModel, VecEnv,
+    collect_rollouts_vec, Batch, Env, PolicyModel, Ppo, PpoConfig, StepOutcome, ValueModel, VecEnv,
 };
 
 /// A small bandit-style environment (mirrors the crate's internal test
@@ -137,9 +136,10 @@ fn assert_batches_identical(a: &Batch, b: &Batch, what: &str) {
     assert_eq!(a.logp_old, b.logp_old, "{what}: sampled log-probs");
 }
 
-/// The headline parity property: one batched rollout vs n sequential
-/// single-env rollouts, merged into one batch in the same episode order
-/// (so advantage normalization sees identical inputs).
+/// The headline parity property: one batched rollout vs the same seeds
+/// collected one episode at a time through a single env slot, merged into
+/// one batch in the same episode order (so advantage normalization sees
+/// identical inputs).
 #[test]
 fn batched_rollout_is_bit_identical_to_sequential() {
     let n = 6;
@@ -152,23 +152,15 @@ fn batched_rollout_is_bit_identical_to_sequential() {
             .map(|_| BanditEnv::new(4, 7, vec![1]))
             .collect::<Vec<_>>(),
     );
-    let (batched_bufs, batched_stats) = collect_episodes(&ppo, &mut venv, &seeds);
+    let (batched, batched_stats) = collect_rollouts_vec(&ppo, &mut venv, &seeds);
 
-    // Sequential: n separate single-env rollouts (VecEnv of size 1 — the
-    // old per-env stepping), one per seed.
-    let mut seq_bufs = Vec::new();
-    let mut seq_metrics = Vec::new();
-    for &seed in &seeds {
-        let mut single = VecEnv::new(vec![BanditEnv::new(4, 7, vec![1])]);
-        let (mut bufs, stats) = collect_episodes(&ppo, &mut single, &[seed]);
-        seq_bufs.append(&mut bufs);
-        seq_metrics.extend(stats.metrics);
-    }
+    // Sequential: one env slot (VecEnv of size 1 — the old per-env
+    // stepping) running the seeds' episodes one after another.
+    let mut single = VecEnv::new(vec![BanditEnv::new(4, 7, vec![1])]);
+    let (sequential, seq_stats) = collect_rollouts_vec(&ppo, &mut single, &seeds);
 
-    assert_eq!(batched_stats.metrics, seq_metrics, "episode metrics");
-    let batched = RolloutBuffer::into_batch(batched_bufs);
-    let sequential = RolloutBuffer::into_batch(seq_bufs);
-    assert_batches_identical(&batched, &sequential, "VecEnv(6) vs 6 x VecEnv(1)");
+    assert_eq!(batched_stats.metrics, seq_stats.metrics, "episode metrics");
+    assert_batches_identical(&batched, &sequential, "VecEnv(6) vs VecEnv(1)");
 }
 
 /// Auto-reset must not change anything: a narrow VecEnv pipelining many
@@ -184,8 +176,7 @@ fn autoreset_pipelining_is_bit_identical() {
                 .map(|_| BanditEnv::new(3, 5, vec![]))
                 .collect::<Vec<_>>(),
         );
-        let (bufs, stats) = collect_episodes(&ppo, &mut venv, &seeds);
-        (RolloutBuffer::into_batch(bufs), stats)
+        collect_rollouts_vec(&ppo, &mut venv, &seeds)
     };
     let (wide, ws) = run(9);
     let (narrow, ns) = run(2);

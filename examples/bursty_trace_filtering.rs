@@ -57,7 +57,6 @@ fn main() {
         filter: FilterMode::two_phase(6, 120),
         seed: 23,
         n_envs: 8,
-        n_threads: 1,
     };
     println!("\ntraining with two-phase trajectory filtering:");
     let curve = train(&mut agent, &trace, &train_cfg);

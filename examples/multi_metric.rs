@@ -30,7 +30,6 @@ fn train_for(metric: MetricKind, trace: &rlsched_repro::swf::JobTrace, seed: u64
         filter: FilterMode::Off,
         seed,
         n_envs: 8,
-        n_threads: 1,
     };
     train(&mut agent, trace, &train_cfg);
     agent

@@ -6,15 +6,17 @@
 //! cargo run --release --example quickstart                     # ~a minute
 //! cargo run --release --example quickstart -- --tiny           # seconds (CI smoke)
 //! cargo run --release --example quickstart -- --tiny --serve   # + serving-tier demo
-//! cargo run --release --example quickstart -- --threads 4      # multi-core training
+//! cargo run --release --example quickstart -- --threads 4      # pin 4 workers
 //! ```
 //!
-//! `--threads N` (N ≥ 2) trains multi-core: rollout collection fans the
-//! epoch's seed schedule out over per-worker env groups and the PPO
-//! update shards its backward into fixed chunks. Results are
-//! deterministic at *any* N — rerunning with a different `--threads`
-//! value reproduces the same curve bit for bit (`RLSCHED_THREADS` caps
-//! the pool; see crates/compat/README.md for the threading model).
+//! Training always runs multi-core: rollout collection fans the epoch's
+//! seed schedule out over per-worker env groups and the PPO update
+//! spreads fixed row chunks over the same worker pool. `--threads N`
+//! pins that pool to N workers (a `rayon::with_threads` override; without
+//! it the pool follows `RLSCHED_THREADS`, else the core count). Results
+//! are deterministic at *any* N — rerunning with a different `--threads`
+//! value reproduces the same curve bit for bit (see
+//! crates/compat/README.md for the threading model).
 //!
 //! With `--serve`, the trained agent is additionally stood up behind the
 //! sharded `rlsched-serve` tier and every held-out window is scheduled
@@ -47,12 +49,11 @@ struct Scale {
 fn main() {
     let tiny = std::env::args().any(|a| a == "--tiny");
     let serve = std::env::args().any(|a| a == "--serve");
-    let threads = {
+    let threads: Option<usize> = {
         let mut args = std::env::args();
         args.find(|a| a == "--threads")
             .and_then(|_| args.next())
             .map(|v| v.parse().expect("--threads takes a worker count"))
-            .unwrap_or(1)
     };
     let scale = if tiny {
         Scale {
@@ -109,18 +110,13 @@ fn main() {
         filter: FilterMode::Off,
         seed: 7,
         n_envs: 8,
-        n_threads: threads,
     };
+    let workers = threads.unwrap_or_else(rayon::current_num_threads);
     println!(
-        "\ntraining ({} epochs{})…",
-        train_cfg.epochs,
-        if threads >= 2 {
-            format!(", {threads} worker threads")
-        } else {
-            String::new()
-        }
+        "\ntraining ({} epochs, {workers} worker threads)…",
+        train_cfg.epochs
     );
-    let curve = train(&mut agent, &trace, &train_cfg);
+    let curve = rayon::with_threads(workers, || train(&mut agent, &trace, &train_cfg));
     for e in &curve {
         println!("  epoch {:>2}: mean bsld {:>10.2}", e.epoch, e.mean_metric);
     }

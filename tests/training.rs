@@ -25,7 +25,6 @@ fn train_cfg(epochs: usize) -> TrainConfig {
         filter: FilterMode::Off,
         seed: 31,
         n_envs: 8,
-        n_threads: 1,
     }
 }
 
