@@ -4,7 +4,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use rlsched_rl::{greedy_batch, ActorScratch, PolicyModel, Ppo, PpoConfig};
+use rlsched_nn::Tensor;
+use rlsched_rl::{greedy_batch, ActorScratch, PolicyModel, Ppo, PpoConfig, ValueModel};
 use rlsched_sim::{MetricKind, Policy, QueueView, WaitingJob};
 
 use crate::nets::{PackedScorer, PolicyKind, PolicyNet, ScorerSnapshot, ValueNet};
@@ -263,15 +264,30 @@ impl Agent {
     }
 
     /// Restore an agent (fresh optimizer state) from [`Agent::save_json`]
-    /// output. Rejects a checkpoint whose `ppo.minibatch` is `Some(0)`:
-    /// an empty minibatch has no gradient to step on.
-    pub fn load_json(s: &str) -> Result<Agent, serde_json::Error> {
-        let ckpt: Checkpoint = serde_json::from_str(s)?;
+    /// output. The checkpoint is validated before anything runs on it:
+    /// every tensor holds as many values as its shape (checked while
+    /// parsing), both networks' shapes fit the configured job window
+    /// ([`PolicyNet::check_shapes`], [`ValueNet::check_shapes`]), every
+    /// weight is finite, and `ppo.minibatch` is not `Some(0)` (an empty
+    /// minibatch has no gradient to step on).
+    pub fn load_json(s: &str) -> Result<Agent, CheckpointError> {
+        let ckpt: Checkpoint = serde_json::from_str(s).map_err(CheckpointError::Parse)?;
         if ckpt.cfg.ppo.minibatch == Some(0) {
-            return Err(serde_json::Error::custom(
-                "checkpoint field `ppo.minibatch` must be at least 1",
+            return Err(CheckpointError::Config(
+                "`ppo.minibatch` must be at least 1".to_string(),
             ));
         }
+        let window = ckpt.cfg.obs.max_obsv;
+        check_net(
+            "policy",
+            ckpt.policy.check_shapes(window),
+            ckpt.policy.params(),
+        )?;
+        check_net(
+            "value",
+            ckpt.value.check_shapes(window),
+            ckpt.value.params(),
+        )?;
         let encoder = ObsEncoder::new(ckpt.cfg.obs);
         let mut ppo_cfg = ckpt.cfg.ppo;
         ppo_cfg.update_seed = ckpt.cfg.seed;
@@ -281,6 +297,67 @@ impl Agent {
             encoder,
             ppo,
         })
+    }
+}
+
+/// Why [`Agent::load_json`] refused a checkpoint.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// Not a checkpoint: malformed JSON, a missing or mistyped field, or
+    /// a tensor whose data length disagrees with its shape.
+    Parse(serde_json::Error),
+    /// A configuration field out of range.
+    Config(String),
+    /// A network whose shapes do not fit each other or the configured
+    /// job window.
+    Shape {
+        /// `"policy"` or `"value"`.
+        net: &'static str,
+        /// What does not fit.
+        detail: String,
+    },
+    /// A NaN or infinite weight.
+    NonFinite {
+        /// `"policy"` or `"value"`.
+        net: &'static str,
+        /// Index of the tensor in the network's parameter order.
+        tensor: usize,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Parse(e) => write!(f, "unreadable checkpoint: {e}"),
+            CheckpointError::Config(msg) => write!(f, "invalid checkpoint config: {msg}"),
+            CheckpointError::Shape { net, detail } => {
+                write!(f, "checkpoint {net} network does not fit: {detail}")
+            }
+            CheckpointError::NonFinite { net, tensor } => {
+                write!(
+                    f,
+                    "checkpoint {net} tensor {tensor} holds a non-finite weight"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// The shape verdict and finiteness check of one deserialized network.
+fn check_net(
+    net: &'static str,
+    shapes: Result<(), String>,
+    params: Vec<&Tensor>,
+) -> Result<(), CheckpointError> {
+    shapes.map_err(|detail| CheckpointError::Shape { net, detail })?;
+    match params
+        .iter()
+        .position(|t| !t.data().iter().all(|v| v.is_finite()))
+    {
+        Some(tensor) => Err(CheckpointError::NonFinite { net, tensor }),
+        None => Ok(()),
     }
 }
 
@@ -493,6 +570,64 @@ mod tests {
             .err()
             .expect("minibatch 0 must not load");
         assert!(err.to_string().contains("ppo.minibatch"), "got: {err}");
+    }
+
+    /// The checkpoint of a fresh small agent with the first element of
+    /// its first tensor's data replaced by `with` (`""` drops it).
+    fn mutate_first_weight(with: &str) -> String {
+        let json = Agent::new(small_cfg()).save_json();
+        let start = json.find("\"data\":[").expect("a tensor") + "\"data\":[".len();
+        let end = start + json[start..].find(',').expect("more than one weight");
+        let cut = if with.is_empty() { end + 1 } else { end };
+        format!("{}{with}{}", &json[..start], &json[cut..])
+    }
+
+    #[test]
+    fn load_rejects_a_truncated_weight_array() {
+        let err = Agent::load_json(&mutate_first_weight(""))
+            .err()
+            .expect("a short tensor must not load");
+        assert!(matches!(err, CheckpointError::Parse(_)), "got: {err}");
+        assert!(
+            err.to_string().contains("does not match shape"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn load_rejects_a_nan_weight() {
+        // A NaN weight serializes as `null`, which does not parse as a
+        // weight; an overflowing literal parses to infinity and is
+        // caught by the finiteness check.
+        let mut agent = Agent::new(small_cfg());
+        agent.ppo_mut().policy.params_mut()[0].data_mut()[0] = f32::NAN;
+        let err = Agent::load_json(&agent.save_json())
+            .err()
+            .expect("a NaN weight must not load");
+        assert!(matches!(err, CheckpointError::Parse(_)), "got: {err}");
+        let err = Agent::load_json(&mutate_first_weight("1e39"))
+            .err()
+            .expect("an infinite weight must not load");
+        assert!(
+            matches!(err, CheckpointError::NonFinite { net: "policy", .. }),
+            "got: {err}"
+        );
+    }
+
+    #[test]
+    fn load_rejects_networks_that_do_not_fit_the_window() {
+        // Widen every window field: the kernel policy still fits (it
+        // scores job rows one at a time), the critic's input does not.
+        let json = Agent::new(small_cfg()).save_json();
+        let wider = json.replace("\"max_obsv\":8", "\"max_obsv\":9");
+        assert_ne!(wider, json);
+        let err = Agent::load_json(&wider)
+            .err()
+            .expect("a critic for another window must not load");
+        assert!(
+            matches!(err, CheckpointError::Shape { net: "value", .. }),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod obs;
 pub mod reward;
 pub mod train;
 
-pub use agent::{Agent, AgentConfig, RlPolicy, StreamDecider};
+pub use agent::{Agent, AgentConfig, CheckpointError, RlPolicy, StreamDecider};
 pub use canary::{CanaryBatch, CanaryError};
 pub use env::SchedulingEnv;
 pub use eval::{evaluate_agent, evaluate_policy, mean_metric, sample_eval_windows};

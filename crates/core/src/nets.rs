@@ -90,26 +90,16 @@ impl PolicyKind {
     }
 }
 
-/// Batched kernel scoring processes this many views per dispatch (each
-/// view contributes `max_obsv` job rows, so a block is ~a thousand rows
-/// at the paper's K = 128). Tunable via `RLSCHED_KERNEL_VIEW_BLOCK` for
-/// experiments (read once, cached); see
-/// `KernelPolicy::log_probs_fast_batch` for why blocks beat one
-/// monolithic stack.
-const KERNEL_VIEW_BLOCK: usize = 8;
-
-fn kernel_view_block() -> usize {
-    static BLOCK: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *BLOCK.get_or_init(|| {
-        std::env::var("RLSCHED_KERNEL_VIEW_BLOCK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(KERNEL_VIEW_BLOCK)
-    })
-}
-
 /// The kernel-based policy network (Fig 5).
+///
+/// Every fast path scores only the window's *live* job rows: a slot that
+/// is masked and whose features are all zero (padding) is scored as one
+/// shared all-zero row instead of its own MLP pass. Training
+/// ([`rlsched_nn::fused`], through [`PolicyModel::fused`]) and inference
+/// ([`infer::kernel_forward`]) both pack, and both stay bit-identical to
+/// the dense tape graph of [`PolicyModel::log_probs`]: a padded row *is*
+/// the zero row, the dense kernels are row-count invariant, and a masked
+/// slot's logit gradient is exactly zero.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KernelPolicy {
     kernel: Mlp,
@@ -148,10 +138,9 @@ impl PolicyModel for KernelPolicy {
     }
 
     fn log_probs_fast(&self, obs: &[f32], mask: &[f32], scratch: &mut Scratch, out: &mut Vec<f32>) {
-        // The whole job window is one batched matmul: the [K, F] job
-        // matrix flows through the shared kernel in a single pass, so one
-        // decision costs one MLP forward — not MAX_OBSV separate ones.
-        infer::mlp_forward(&self.kernel, obs, self.max_obsv, scratch, out);
+        // The window's live job rows flow through the shared kernel as
+        // one batched matmul; padding slots share one zero-row score.
+        infer::kernel_forward(&self.kernel, obs, mask, scratch, out);
         mask_and_log_softmax(out, mask);
     }
 
@@ -163,33 +152,9 @@ impl PolicyModel for KernelPolicy {
         scratch: &mut Scratch,
         out: &mut Vec<f32>,
     ) {
-        // All views' job windows stack into one [rows * K, F] matrix and
-        // flow through the shared kernel batched — in blocks of
-        // KERNEL_VIEW_BLOCK views. The kernel net's weights are
-        // L1-resident (batching buys dispatch amortization, not weight
-        // traffic), so what limits large stacks is the *intermediate
-        // activation* working set (`rows * K` rows through every hidden
-        // width); blocking keeps it cache-resident while still scoring
-        // ~a thousand job rows per dispatch. Row-count invariance of the
-        // dense kernels makes the blocking invisible: every row computes
-        // the same bits at any block size.
-        let chunk = kernel_view_block();
-        let k = self.max_obsv;
-        let obs_per_view = obs.len() / rows;
-        out.clear();
-        let mut tmp = std::mem::take(infer::scratch_extra(scratch));
-        for start in (0..rows).step_by(chunk) {
-            let n_views = chunk.min(rows - start);
-            infer::mlp_forward(
-                &self.kernel,
-                &obs[start * obs_per_view..(start + n_views) * obs_per_view],
-                n_views * k,
-                scratch,
-                &mut tmp,
-            );
-            out.extend_from_slice(&tmp);
-        }
-        *infer::scratch_extra(scratch) = tmp;
+        // Every view's live job rows stack into one packed matrix and
+        // flow through the shared kernel in a single pass.
+        infer::kernel_forward(&self.kernel, obs, masks, scratch, out);
         mask_and_log_softmax_rows(out, masks, rows, self.max_obsv);
     }
 
@@ -470,6 +435,54 @@ impl PolicyNet {
     pub fn packed_scorer(&self) -> Option<PackedScorer> {
         self.packed().map(PackedScorer::new)
     }
+
+    /// Check that the network's shapes fit each other and a `max_obsv`
+    /// job window — what a deserialized network must pass before it
+    /// scores anything. The kernel head must be `[JOB_FEATURES, …, 1]`
+    /// (live-row packing scores job rows one at a time), a flat MLP must
+    /// map the whole observation to one logit per slot, and a CNN must
+    /// have the shapes its constructor builds for the window.
+    pub fn check_shapes(&self, max_obsv: usize) -> Result<(), String> {
+        let want = |what: &str, got: usize, want: usize| {
+            if got == want {
+                Ok(())
+            } else {
+                Err(format!("{what} is {got}, the window needs {want}"))
+            }
+        };
+        match self {
+            PolicyNet::Kernel(p) => {
+                p.kernel.check_chain()?;
+                want("kernel input width", p.kernel.in_dim(), JOB_FEATURES)?;
+                want("kernel output width", p.kernel.out_dim(), 1)?;
+                want("kernel window", p.max_obsv, max_obsv)
+            }
+            PolicyNet::Mlp(p) => {
+                p.net.check_chain()?;
+                want("MLP input width", p.net.in_dim(), max_obsv * JOB_FEATURES)?;
+                want("MLP output width", p.net.out_dim(), max_obsv)
+            }
+            PolicyNet::LeNet(p) => {
+                if !(max_obsv.is_multiple_of(4) && max_obsv >= 64) {
+                    return Err(format!("LeNet cannot take a {max_obsv}-job window"));
+                }
+                let reference = LeNetPolicy::new(max_obsv, 0);
+                let fits = p.max_obsv == max_obsv
+                    && (p.h, p.w) == (reference.h, reference.w)
+                    && (p.conv1.stride, p.conv2.stride)
+                        == (reference.conv1.stride, reference.conv2.stride)
+                    && p.params()
+                        .iter()
+                        .zip(reference.params())
+                        .all(|(a, b)| a.shape() == b.shape());
+                if fits {
+                    Ok(())
+                } else {
+                    Err(format!("LeNet shapes do not match a {max_obsv}-job window"))
+                }
+            }
+        }
+    }
 }
 
 impl PolicyModel for PolicyNet {
@@ -693,6 +706,21 @@ pub struct ValueNet {
 }
 
 impl ValueNet {
+    /// Check that the critic maps a `max_obsv`-job observation to one
+    /// value (see [`PolicyNet::check_shapes`]).
+    pub fn check_shapes(&self, max_obsv: usize) -> Result<(), String> {
+        self.net.check_chain()?;
+        let (input, output) = (self.net.in_dim(), self.net.out_dim());
+        if (input, output) == (max_obsv * JOB_FEATURES, 1) {
+            Ok(())
+        } else {
+            Err(format!(
+                "critic maps {input} inputs to {output}, the window needs {} to 1",
+                max_obsv * JOB_FEATURES
+            ))
+        }
+    }
+
     /// Build for a given observation window.
     pub fn new(max_obsv: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -891,6 +919,27 @@ mod tests {
     #[should_panic(expected = "max_obsv % 4")]
     fn lenet_rejects_tiny_windows() {
         let _ = LeNetPolicy::new(20, 0);
+    }
+
+    #[test]
+    fn check_shapes_pins_every_architecture_to_its_window() {
+        for kind in PolicyKind::all() {
+            let net = PolicyNet::build(kind, 64, 1);
+            assert_eq!(net.check_shapes(64), Ok(()), "{}", kind.name());
+            assert!(net.check_shapes(68).is_err(), "{}", kind.name());
+        }
+        assert_eq!(ValueNet::new(64, 1).check_shapes(64), Ok(()));
+        assert!(ValueNet::new(64, 1).check_shapes(32).is_err());
+        // The kernel head must score one job row into one value.
+        let mut wide = KernelPolicy::new(16, 1);
+        wide.kernel = Mlp::new(
+            &[JOB_FEATURES + 1, 8, 1],
+            Activation::Relu,
+            Activation::Identity,
+            &mut StdRng::seed_from_u64(1),
+        );
+        let err = PolicyNet::Kernel(wide).check_shapes(16).unwrap_err();
+        assert!(err.contains("kernel input width"), "{err}");
     }
 
     #[test]

@@ -58,6 +58,10 @@ fn top2_gap(xs: &[f32]) -> f32 {
     top - second
 }
 
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 fn build_obs(features: &[f32], valid: usize) -> (Vec<f32>, Vec<f32>) {
     let mut obs = vec![0.0f32; K * JOB_FEATURES];
     let mut mask = vec![MASK_OFF; K];
@@ -161,6 +165,42 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The kernel policy scores only live job rows on its fast paths,
+    /// yet both — one view (`log_probs_fast`) and stacked views
+    /// (`log_probs_fast_batch`) — return the tape's log-probs bit for
+    /// bit, including windows with non-zero junk under masked slots.
+    #[test]
+    fn kernel_fast_paths_are_the_tapes_bits(
+        features in prop::collection::vec(0.0f32..1.0, K * JOB_FEATURES),
+        valids in prop::collection::vec(1usize..=K, 1..5),
+        junk_slot in 0usize..K,
+        seed in 0u64..50,
+    ) {
+        let policy = PolicyNet::build(PolicyKind::Kernel, K, seed);
+        let mut obs_all = Vec::new();
+        let mut mask_all = Vec::new();
+        for (i, &valid) in valids.iter().enumerate() {
+            let (mut obs, mask) = build_obs(&features, valid);
+            if i % 2 == 1 && junk_slot >= valid {
+                obs[junk_slot * JOB_FEATURES] = 0.5;
+            }
+            let tape = tape_log_probs(&policy, &obs, &mask);
+            let fast = fast_log_probs(&policy, &obs, &mask);
+            prop_assert_eq!(bits(&fast), bits(&tape), "view {} single", i);
+            obs_all.extend_from_slice(&obs);
+            mask_all.extend_from_slice(&mask);
+        }
+        let rows = valids.len();
+        let mut g = Graph::new();
+        let mut binds = ParamBinds::new();
+        let o = g.input(Tensor::from_vec(obs_all.clone(), &[rows, K * JOB_FEATURES]));
+        let m = g.input(Tensor::from_vec(mask_all.clone(), &[rows, K]));
+        let lp = policy.log_probs(&mut g, o, m, &mut binds);
+        let mut batched = Vec::new();
+        policy.log_probs_fast_batch(&obs_all, &mask_all, rows, &mut Scratch::new(), &mut batched);
+        prop_assert_eq!(bits(&batched), bits(g.value(lp).data()), "stacked views");
     }
 
     /// The critic's fast path agrees with its tape forward.

@@ -22,12 +22,14 @@
 //!
 //! The fused pass is **bit-identical to the tape** on whichever kernel
 //! dispatch arm is active (AVX2/FMA or `RLSCHED_FORCE_SCALAR`): every
-//! matmul goes through the same [`crate::simd`] entry points with the
-//! same shapes, every elementwise pass replicates the tape's accumulation
-//! order (including the needs-grad pruning that skips `dX` into the
-//! observation matrix, the bias row-accumulation order, and the
-//! `exp`-underflow short-circuit of the log-softmax backward). The
-//! fused-vs-tape parity property tests (`tests/fused_parity_prop.rs` and
+//! matmul goes through the same [`crate::simd`] entry points (the kernel
+//! head's over its packed live rows, below), every elementwise pass
+//! replicates the tape's accumulation order (including the needs-grad
+//! pruning that skips `dX` into the observation matrix, the bias
+//! row-accumulation order, and the `exp`-underflow short-circuit of the
+//! log-softmax backward). The tape stays the dense reference: it scores
+//! every job row. The fused-vs-tape parity property tests
+//! (`tests/fused_parity_prop.rs`, `tests/kernel_pack_prop.rs` and
 //! `rlscheduler`'s update-level suite) pin this with exact `==`
 //! comparisons, so N epochs of fused updates reproduce the tape's
 //! training trajectory bit for bit — checkpoints and Adam state are
@@ -43,7 +45,40 @@
 //! * [`FusedHead::Kernel`]: the kernel network of Fig 5 — the `[n, K·F]`
 //!   observation stacks to `[n·K, F]` job rows, the shared-weight kernel
 //!   scores each row, and the `[n·K, 1]` scores read back as `[n, K]`
-//!   logits. (The reshapes are views; no data moves.)
+//!   logits.
+//!
+//! # Live-row packing (kernel head)
+//!
+//! Most of a window's `K` slots hold no job: the slot is masked and its
+//! features are all zero. The kernel head therefore runs the layer chain
+//! only over the *live* rows (unmasked, or with a non-zero feature; see
+//! [`infer::pack_live_rows`]) plus one all-zero row, and scatters the
+//! zero row's score to every other slot. Each part stays bit-identical
+//! to the dense tape:
+//!
+//! * **Forward.** A padded row *is* the zero row, and the dense kernels
+//!   are row-count invariant, so its score is the zero row's score.
+//! * **Backward.** A masked slot's probability underflows to exactly 0
+//!   in `exp_or_zero`, so its dlogit is exactly `±0` with or without the
+//!   entropy term, and so are its `dpre` and `dX` all the way down. The
+//!   layer walk computes `dpre`, `dX` and `db` for packed rows only; a
+//!   `±0` term added to an ascending `+0`-seeded sum changes nothing. (A
+//!   left-out row with a non-zero dlogit — only a diverged network can
+//!   score a masked slot within the underflow threshold — joins the pack
+//!   before the backward.)
+//! * **`dW`.** [`simd::gemm_tn_rows`] keeps the dense TN kernel's
+//!   row-chunk accumulation boundaries over the *original* row index, so
+//!   skipping a `±0` contribution leaves every lane sum unchanged.
+//!
+//! Gradients, Adam state and training curves are therefore the dense
+//! pass's bits; `tests/kernel_pack_prop.rs` pins packed fused against the
+//! dense tape with `to_bits` equality.
+//!
+//! A PPO update draws many minibatches from one batch, so the trainer
+//! packs the batch's live rows once ([`LiveRows`]) and each minibatch
+//! chunk copies its few rows out ([`policy_forward_live`]) instead of
+//! rescanning padded windows; [`policy_forward`] packs a dense
+//! minibatch itself. Both produce the same pack, row for row.
 //!
 //! Anything else (the LeNet CNN baseline) keeps using the tape — the
 //! dispatch lives in `rlsched-rl`'s `Ppo::update`.
@@ -119,6 +154,11 @@ pub struct FusedScratch {
     wt: Vec<f32>,
     /// Parameter gradients in bind order (`w0, b0, w1, b1, …`).
     grads: Vec<Tensor>,
+    /// Kernel head: the packed live job rows plus one zero row — the
+    /// layer chain's input.
+    x: Vec<f32>,
+    /// Kernel head: the original `[n·K]` row index of each packed row.
+    live: Vec<u32>,
 }
 
 impl FusedScratch {
@@ -149,6 +189,25 @@ impl FusedScratch {
     /// Mutable gradient access (for global-norm clipping).
     pub fn grads_mut(&mut self) -> &mut [Tensor] {
         &mut self.grads
+    }
+
+    /// Reserve every row-scaled buffer for `rows` layer-stack rows (plus
+    /// the kernel head's zero row), so a later pass with more live rows
+    /// never regrows one.
+    fn reserve_rows(&mut self, mlp: &Mlp, rows: usize) {
+        let widest = mlp
+            .layers
+            .iter()
+            .map(|l| l.in_dim().max(l.out_dim()))
+            .max()
+            .unwrap_or(1);
+        for buf in [&mut self.dy, &mut self.dy2, &mut self.dpre] {
+            infer::reserve_total(buf, (rows + 1) * widest);
+        }
+        self.acts.resize_with(mlp.layers.len(), Vec::new);
+        for (a, l) in self.acts.iter_mut().zip(&mlp.layers) {
+            infer::reserve_total(a, (rows + 1) * l.out_dim());
+        }
     }
 
     fn ensure_grads(&mut self, mlp: &Mlp) {
@@ -197,7 +256,10 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut Vec<Vec<f32>>) 
 }
 
 /// Walk the layers last-to-first given `dY` of the final layer in
-/// `s.dy`, writing parameter gradients into `s.grads`.
+/// `s.dy`, writing parameter gradients into `s.grads`. With `row_ids`
+/// the `rows` rows are a packed subset (the kernel head's live rows) and
+/// `dW` keeps the dense TN kernel's chunk boundaries over the original
+/// row index ([`simd::gemm_tn_rows`]).
 ///
 /// Replicates the tape's `Linear` backward exactly: the per-activation
 /// `dpre` loops, `dW` through the TN kernel dispatch
@@ -206,7 +268,13 @@ fn forward_layers(mlp: &Mlp, x0: &[f32], rows: usize, acts: &mut Vec<Vec<f32>>) 
 /// (scalar NT fallback) — including the needs-grad pruning that never
 /// computes `dX` of the first layer (its input is the constant
 /// observation matrix).
-fn backward_layers(mlp: &Mlp, x0: &[f32], rows: usize, s: &mut FusedScratch) {
+fn backward_layers(
+    mlp: &Mlp,
+    x0: &[f32],
+    rows: usize,
+    row_ids: Option<&[u32]>,
+    s: &mut FusedScratch,
+) {
     s.ensure_grads(mlp);
     let last = mlp.layers.len() - 1;
     for l in (0..=last).rev() {
@@ -254,7 +322,11 @@ fn backward_layers(mlp: &Mlp, x0: &[f32], rows: usize, s: &mut FusedScratch) {
         // needed — same call chain as `Tensor::matmul_tn_into`).
         let x = if l == 0 { x0 } else { &s.acts[l - 1] };
         let dw = s.grads[2 * l].data_mut();
-        if !simd::gemm_tn(x, rows, din, &s.dpre, dout, dw) {
+        let dispatched = match row_ids {
+            None => simd::gemm_tn(x, rows, din, &s.dpre, dout, dw),
+            Some(ids) => simd::gemm_tn_rows(x, din, &s.dpre, dout, ids, dw),
+        };
+        if !dispatched {
             simd::gemm_tn_scalar(x, rows, din, &s.dpre, dout, dw);
         }
 
@@ -296,11 +368,120 @@ pub fn policy_forward(
     assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
     assert_eq!(masks.len(), n * width, "mask volume");
     assert_eq!(actions.len(), n, "one action per transition");
-    forward_layers(p.mlp, obs, rows, &mut s.acts);
-    let logits = s.acts.last().expect("non-empty MLP");
-    debug_assert_eq!(logits.len(), n * width, "logits volume");
-    s.logp.clear();
-    s.logp.extend_from_slice(logits);
+    match p.head {
+        FusedHead::Flat => {
+            forward_layers(p.mlp, obs, rows, &mut s.acts);
+            s.logp.clear();
+            s.logp
+                .extend_from_slice(s.acts.last().expect("non-empty MLP"));
+        }
+        FusedHead::Kernel { .. } => {
+            s.reserve_rows(p.mlp, rows);
+            let kept = |m: f32| m > infer::MASKED;
+            infer::pack_live_rows(obs, p.mlp.in_dim(), masks, kept, &mut s.x, &mut s.live);
+            score_packed_rows(p.mlp, rows, s);
+        }
+    }
+    finish_policy_forward(masks, actions, width, s);
+}
+
+/// A batch's live job rows for the kernel head, packed once
+/// ([`infer::pack_live_rows`]) and shared by every minibatch iteration
+/// of an update: [`policy_forward_live`] copies a minibatch's few live
+/// rows out of it instead of scanning the minibatch's padded windows.
+#[derive(Debug, Default)]
+pub struct LiveRows {
+    /// Packed live rows of the whole batch, followed by the zero row.
+    x: Vec<f32>,
+    /// Original `[n·K]` row index of each packed row.
+    live: Vec<u32>,
+    /// Transition `t`'s packed rows are `start[t]..start[t + 1]`.
+    start: Vec<u32>,
+}
+
+impl LiveRows {
+    /// Fresh, empty pack.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Pack the live job rows of an `[n, K·F]` batch with `[n, K]`
+    /// masks for the kernel-head policy `p` (buffers are reused).
+    pub fn pack(&mut self, p: &FusedPolicy<'_>, obs: &[f32], masks: &[f32]) {
+        let FusedHead::Kernel { window } = p.head else {
+            panic!("live rows feed the kernel head only");
+        };
+        let kept = |m: f32| m > infer::MASKED;
+        infer::pack_live_rows(
+            obs,
+            p.mlp.in_dim(),
+            masks,
+            kept,
+            &mut self.x,
+            &mut self.live,
+        );
+        let n = masks.len() / window;
+        self.start.clear();
+        let mut q = 0;
+        for t in 0..=n {
+            while self.live.get(q).is_some_and(|&r| (r as usize) < t * window) {
+                q += 1;
+            }
+            self.start.push(q as u32);
+        }
+    }
+}
+
+/// [`policy_forward`] for the kernel head over transitions `idx` of a
+/// batch packed into `rows` ([`LiveRows::pack`]): the minibatch's live
+/// rows are copied out of the pack, then scored exactly as
+/// [`policy_forward`] scores them — same rows, same order, same bits.
+/// `masks` and `actions` are the minibatch's own (`[idx.len(), K]`,
+/// `[idx.len()]`).
+pub fn policy_forward_live(
+    p: &FusedPolicy<'_>,
+    rows: &LiveRows,
+    idx: &[usize],
+    masks: &[f32],
+    actions: &[usize],
+    s: &mut FusedScratch,
+) {
+    let FusedHead::Kernel { window } = p.head else {
+        panic!("live rows feed the kernel head only");
+    };
+    let n = idx.len();
+    assert!(n > 0, "fused forward needs at least one transition");
+    assert_eq!(masks.len(), n * window, "mask volume");
+    assert_eq!(actions.len(), n, "one action per transition");
+    let f = p.mlp.in_dim();
+    s.reserve_rows(p.mlp, n * window);
+    infer::reserve_total(&mut s.x, (n * window + 1) * f);
+    infer::reserve_total(&mut s.live, n * window);
+    s.x.clear();
+    s.live.clear();
+    for (c, &t) in idx.iter().enumerate() {
+        let (a, b) = (rows.start[t] as usize, rows.start[t + 1] as usize);
+        s.x.extend_from_slice(&rows.x[a * f..b * f]);
+        let local = |&r: &u32| (c * window + r as usize % window) as u32;
+        s.live.extend(rows.live[a..b].iter().map(local));
+    }
+    s.x.resize(s.x.len() + f, 0.0);
+    score_packed_rows(p.mlp, n * window, s);
+    finish_policy_forward(masks, actions, window, s);
+}
+
+/// The kernel head's forward over the packed rows in `s.x` (the last one
+/// the zero row): scores scattered to all `rows` slots in `s.logp`.
+fn score_packed_rows(mlp: &Mlp, rows: usize, s: &mut FusedScratch) {
+    forward_layers(mlp, &s.x, s.live.len() + 1, &mut s.acts);
+    let scores = s.acts.last().expect("non-empty MLP");
+    infer::scatter_rows(scores, &s.live, rows, &mut s.logp);
+}
+
+/// Shared forward tail: logits in `s.logp` become masked log-probs, and
+/// the selected per-action log-probs land in `s.sel`.
+fn finish_policy_forward(masks: &[f32], actions: &[usize], width: usize, s: &mut FusedScratch) {
+    debug_assert_eq!(s.logp.len(), masks.len(), "logits volume");
     for (row, mrow) in s.logp.chunks_mut(width).zip(masks.chunks(width)) {
         for (o, &m) in row.iter_mut().zip(mrow) {
             *o += m;
@@ -357,7 +538,9 @@ pub fn policy_loss_and_grads(
 /// the *minibatch* size as `total_n`, so per-chunk gradients are exact
 /// partials of the whole minibatch's gradient. Returns the raw
 /// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds over
-/// this call's rows); gradients land in [`FusedScratch::grads`].
+/// this call's rows); gradients land in [`FusedScratch::grads`]. `obs`
+/// is read by the flat head only: the kernel head walks the packed rows
+/// its forward left in the scratch.
 #[allow(clippy::too_many_arguments)] // the PPO term list + both row counts
 pub fn policy_backward_scaled(
     p: &FusedPolicy<'_>,
@@ -439,10 +622,59 @@ pub fn policy_backward_scaled(
         }
     }
 
-    // `dy` now holds dlogits: `[n, width]` for the flat head, which the
-    // kernel head reads as `[n·window, 1]` — the reshape is a view.
-    backward_layers(p.mlp, obs, rows, s);
+    // `dy` now holds dlogits: `[n, width]`, which the kernel head reads
+    // as `[n·window, 1]` scores.
+    match p.head {
+        FusedHead::Flat => backward_layers(p.mlp, obs, rows, None, s),
+        FusedHead::Kernel { .. } => {
+            if !left_out_rows_are_zero(&s.dy, &s.live) {
+                promote_left_out_rows(p.mlp, s);
+            }
+            s.dy2.clear();
+            s.dy2.extend(s.live.iter().map(|&r| s.dy[r as usize]));
+            std::mem::swap(&mut s.dy, &mut s.dy2);
+            let (x, live) = (std::mem::take(&mut s.x), std::mem::take(&mut s.live));
+            backward_layers(p.mlp, &x, live.len(), Some(&live), s);
+            (s.x, s.live) = (x, live);
+        }
+    }
     (obj_sum, ent_sum)
+}
+
+/// Give every row left out of the kernel head's pack whose dlogit is not
+/// `±0` a packed row of its own — a zero row, which is what a left-out
+/// row is — and rerun the forward over the new pack. Only a diverged
+/// network gets here, so the rebuilt buffers may allocate.
+fn promote_left_out_rows(mlp: &Mlp, s: &mut FusedScratch) {
+    let f = mlp.in_dim();
+    let (x, live) = (std::mem::take(&mut s.x), std::mem::take(&mut s.live));
+    let mut q = 0;
+    for (r, &g) in s.dy.iter().enumerate() {
+        if live.get(q) == Some(&(r as u32)) {
+            s.x.extend_from_slice(&x[q * f..(q + 1) * f]);
+            s.live.push(r as u32);
+            q += 1;
+        } else if g != 0.0 {
+            s.x.resize(s.x.len() + f, 0.0);
+            s.live.push(r as u32);
+        }
+    }
+    s.x.resize(s.x.len() + f, 0.0);
+    forward_layers(mlp, &s.x, s.live.len() + 1, &mut s.acts);
+}
+
+/// True when every row left out of the kernel head's pack has a `±0`
+/// dlogit: the condition under which the packed backward is exact.
+fn left_out_rows_are_zero(dlogits: &[f32], live: &[u32]) -> bool {
+    let mut next = live.iter().peekable();
+    dlogits.iter().enumerate().all(|(r, &g)| {
+        if next.peek().is_some_and(|&&id| id as usize == r) {
+            next.next();
+            true
+        } else {
+            g == 0.0
+        }
+    })
 }
 
 /// Batched critic forward over `[rows, obs_dim]` stacked observations;
@@ -494,7 +726,7 @@ pub fn value_backward_scaled(
         let t = g * d;
         dy.push(t + t);
     }
-    backward_layers(mlp, obs, rows, s);
+    backward_layers(mlp, obs, rows, None, s);
     sq_sum
 }
 

@@ -523,13 +523,7 @@ impl Graph {
             let av = &self.nodes[a.0].value;
             for i in 0..m {
                 let row = &av.data()[i * n..(i + 1) * n];
-                let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let lse = mx
-                    + row
-                        .iter()
-                        .map(|&x| crate::infer::exp_or_zero(x - mx))
-                        .sum::<f32>()
-                        .ln();
+                let lse = crate::infer::log_sum_exp(row);
                 out.extend(row.iter().map(|&x| x - lse));
             }
         }

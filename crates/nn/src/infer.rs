@@ -41,6 +41,11 @@
 //! pool / log-softmax) so downstream crates can compose them for any
 //! architecture — see `rlscheduler`'s five `PolicyKind`s, which all score
 //! a 128-job window through these in one batched pass.
+//!
+//! The kernel network's scalar-head MLP scores job rows one at a time,
+//! and most rows of a window are padding: [`kernel_forward`] runs it
+//! over the live rows only ([`pack_live_rows`]) plus one zero row whose
+//! score every padded slot shares — bit-identical to scoring every row.
 
 use crate::layers::{Activation, Dense, Mlp};
 use crate::simd;
@@ -57,6 +62,10 @@ pub struct Scratch {
     /// Extra buffer for architectures needing a third live tensor (conv
     /// stacks).
     c: Vec<f32>,
+    /// Packed live job rows of a [`kernel_forward`].
+    x: Vec<f32>,
+    /// Original row index of each packed row of a [`kernel_forward`].
+    live: Vec<u32>,
 }
 
 impl Scratch {
@@ -110,6 +119,140 @@ pub fn mlp_forward(mlp: &Mlp, x: &[f32], rows: usize, scratch: &mut Scratch, out
             std::mem::swap(&mut scratch.a, &mut scratch.b);
         }
     }
+}
+
+/// A slot whose additive mask is at or below this is *masked*: the mask
+/// alone drives its log-probability under the `exp` underflow, so its
+/// probability and its logit gradient are exactly zero.
+pub(crate) const MASKED: f32 = EXP_UNDERFLOW;
+
+/// Pack the live rows of a stacked `[rows, in_dim]` job matrix into
+/// `packed`, followed by one all-zero row, and record each packed row's
+/// original index in `live` (ascending). `keep` holds one value per row;
+/// row `r` is live when `kept(keep[r])` holds or any of its features is
+/// non-zero (compared by bits, so a `-0.0` feature counts as non-zero).
+/// Every row left out is bit-for-bit the zero row, and the dense forward
+/// kernels are row-count invariant, so the zero row's outputs are every
+/// left-out row's outputs.
+///
+/// Both buffers are reserved for the dense row count on first use, so
+/// callers whose live count varies call after call never regrow them.
+pub fn pack_live_rows(
+    x: &[f32],
+    in_dim: usize,
+    keep: &[f32],
+    kept: impl Fn(f32) -> bool,
+    packed: &mut Vec<f32>,
+    live: &mut Vec<u32>,
+) {
+    let rows = keep.len();
+    assert_eq!(x.len(), rows * in_dim, "one keep value per job row");
+    assert!(rows < u32::MAX as usize, "too many job rows to pack");
+    packed.clear();
+    packed.reserve((rows + 1) * in_dim);
+    live.clear();
+    live.reserve(rows);
+    // Blocks of rows are settled whole where they can be: padding (no
+    // feature bit, no kept row) is skipped and a block whose every row
+    // is kept is copied at once; only mixed blocks go row by row.
+    const BLOCK_ROWS: usize = 32;
+    let blocks = x.chunks(BLOCK_ROWS * in_dim).zip(keep.chunks(BLOCK_ROWS));
+    for (b, (block, kb)) in blocks.enumerate() {
+        let r0 = b * BLOCK_ROWS;
+        let (any, all) = kb.iter().fold((false, true), |(any, all), &k| {
+            let k = kept(k);
+            (any | k, all & k)
+        });
+        if all {
+            packed.extend_from_slice(block);
+            live.extend(r0 as u32..(r0 + kb.len()) as u32);
+            continue;
+        }
+        if !any && or_bits(block) == 0 {
+            continue;
+        }
+        for (i, (row, &k)) in block.chunks_exact(in_dim).zip(kb).enumerate() {
+            if kept(k) || or_bits(row) != 0 {
+                packed.extend_from_slice(row);
+                live.push((r0 + i) as u32);
+            }
+        }
+    }
+    packed.resize(packed.len() + in_dim, 0.0);
+}
+
+/// Bitwise OR of every element's bits: zero exactly when each is `+0.0`.
+/// Fixed 16-wide windows keep the reduction vectorized.
+#[inline(always)]
+fn or_bits(v: &[f32]) -> u32 {
+    let mut windows = v.chunks_exact(16);
+    let mut acc = 0u32;
+    for w in &mut windows {
+        let w: &[f32; 16] = w.try_into().expect("16-wide window");
+        acc |= w.iter().fold(0, |a, x| a | x.to_bits());
+    }
+    windows.remainder().iter().fold(acc, |a, x| a | x.to_bits())
+}
+
+/// Scatter the one-column outputs of a [`pack_live_rows`] pack back to
+/// `rows` slots: live slot `live[p]` gets `packed[p]`, every other slot
+/// the zero row's output `packed[live.len()]`.
+pub(crate) fn scatter_rows(packed: &[f32], live: &[u32], rows: usize, out: &mut Vec<f32>) {
+    assert_eq!(packed.len(), live.len() + 1, "one output per packed row");
+    let zero = packed[live.len()];
+    out.clear();
+    out.resize(rows, zero);
+    for (&r, &v) in live.iter().zip(packed) {
+        out[r as usize] = v;
+    }
+}
+
+/// The kernel network's scoring pass: a scalar-head `mlp` scores every
+/// `[mlp.in_dim()]`-wide job row of `x`, one row per entry of `masks`,
+/// and the scores land in `out` (`[masks.len()]`). Only the live rows
+/// ([`pack_live_rows`]: unmasked, or with a non-zero feature) and one
+/// zero row run through the MLP; every other slot gets the zero row's
+/// score. The result is bit-identical to [`mlp_forward`] over all the
+/// rows, because a padded row *is* the zero row and the dense kernels are
+/// row-count invariant. Allocation-free at steady state.
+pub fn kernel_forward(
+    mlp: &Mlp,
+    x: &[f32],
+    masks: &[f32],
+    scratch: &mut Scratch,
+    out: &mut Vec<f32>,
+) {
+    assert_eq!(mlp.out_dim(), 1, "kernel head needs a scalar-score MLP");
+    let rows = masks.len();
+    assert_eq!(x.len(), rows * mlp.in_dim(), "one job row per mask slot");
+    let mut packed = std::mem::take(&mut scratch.x);
+    let mut live = std::mem::take(&mut scratch.live);
+    let mut scores = std::mem::take(&mut scratch.c);
+    pack_live_rows(
+        x,
+        mlp.in_dim(),
+        masks,
+        |m| m > MASKED,
+        &mut packed,
+        &mut live,
+    );
+    // Size the layer buffers for the dense row count once, so a later
+    // call with more live rows never regrows them.
+    let widest = mlp.layers.iter().map(Dense::out_dim).max().unwrap_or(1);
+    for buf in [&mut scratch.a, &mut scratch.b, &mut scores] {
+        reserve_total(buf, (rows + 1) * widest);
+    }
+    mlp_forward(mlp, &packed, live.len() + 1, scratch, &mut scores);
+    scatter_rows(&scores, &live, rows, out);
+    scratch.x = packed;
+    scratch.live = live;
+    scratch.c = scores;
+}
+
+/// Grow `buf`'s capacity to at least `total` elements (a no-op once it
+/// has).
+pub(crate) fn reserve_total<T>(buf: &mut Vec<T>, total: usize) {
+    buf.reserve(total.saturating_sub(buf.len()));
 }
 
 /// One layer of a [`PackedMlp`]: weights stored transposed (`[out, in]`
@@ -384,18 +527,46 @@ pub(crate) fn exp_or_zero(x: f32) -> f32 {
     if x <= EXP_UNDERFLOW {
         0.0
     } else {
-        x.exp()
+        exp_above_underflow(x)
     }
 }
 
-/// Numerically-stabilized log-softmax of one row, in place. Matches the
-/// tape's [`crate::Graph::log_softmax`] arithmetic exactly.
+/// `x.exp()` behind a call the optimizer cannot speculate. The `exp`
+/// intrinsic is side-effect free, so inlined into a loop the compiler
+/// may turn the short-circuit branch into a select and call `exp` for
+/// every element — masked slots included, where libm's underflow path
+/// is slow. An opaque call keeps the skip real.
+#[inline(never)]
+fn exp_above_underflow(x: f32) -> f32 {
+    x.exp()
+}
+
+/// Numerically-stabilized log-softmax of one row, in place. Shares
+/// [`log_sum_exp`] with the tape's [`crate::Graph::log_softmax`], so the
+/// two agree bit for bit.
 pub fn log_softmax_inplace(row: &mut [f32]) {
-    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let lse = mx + row.iter().map(|&x| exp_or_zero(x - mx)).sum::<f32>().ln();
+    let lse = log_sum_exp(row);
     for x in row {
         *x -= lse;
     }
+}
+
+/// The log-softmax normalizer of one row, `max + ln Σ exp(x − max)`.
+/// Terms that underflow to `0.0` (masked slots) are skipped instead of
+/// added: the sum always holds the max's own `exp(0) = 1`, so adding
+/// `+0.0` could not change it, and a masked window's sum then waits on
+/// its live slots only.
+pub(crate) fn log_sum_exp(row: &[f32]) -> f32 {
+    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for &x in row {
+        let d = x - mx;
+        // A NaN `d` is summed, as `exp_or_zero` would.
+        if d > EXP_UNDERFLOW || d.is_nan() {
+            sum += exp_above_underflow(d);
+        }
+    }
+    mx + sum.ln()
 }
 
 /// The third scratch buffer, for conv stacks that need one more live

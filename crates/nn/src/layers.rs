@@ -219,6 +219,35 @@ impl Mlp {
     pub fn out_dim(&self) -> usize {
         self.layers.last().expect("non-empty").out_dim()
     }
+
+    /// Check that the layers form a chain: at least one layer, every
+    /// weight `[in, out]` and every bias `[out]` with non-zero widths,
+    /// and each layer's input width equal to the previous layer's output
+    /// width. The width accessors and every kernel assume this; a
+    /// deserialized network should pass it before it runs.
+    pub fn check_chain(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("an MLP needs at least one layer".to_string());
+        }
+        let mut prev = None;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (w, b) = (layer.w.shape(), layer.b.shape());
+            if w.len() != 2 || w.contains(&0) || b != [w[1]] {
+                return Err(format!(
+                    "layer {i}: weight {w:?} and bias {b:?} do not form a dense layer"
+                ));
+            }
+            if let Some(p) = prev.filter(|&p| p != w[0]) {
+                return Err(format!(
+                    "layer {i} takes {} inputs but layer {} emits {p}",
+                    w[0],
+                    i - 1
+                ));
+            }
+            prev = Some(w[1]);
+        }
+        Ok(())
+    }
 }
 
 impl Network for Mlp {
@@ -309,6 +338,26 @@ mod tests {
         let y = d.forward(&mut g, x, &mut binds);
         assert_eq!(g.value(y).shape(), &[2, 3]);
         assert_eq!(binds.vars().len(), 2);
+    }
+
+    #[test]
+    fn check_chain_accepts_built_mlps_and_rejects_broken_ones() {
+        let m = Mlp::new(
+            &[5, 8, 3],
+            Activation::Relu,
+            Activation::Identity,
+            &mut rng(),
+        );
+        assert_eq!(m.check_chain(), Ok(()));
+        let mut gap = m.clone();
+        gap.layers[1] = Dense::new(7, 3, &mut rng());
+        assert!(gap.check_chain().unwrap_err().contains("layer 1 takes 7"));
+        let mut flat = m.clone();
+        flat.layers[0].w = Tensor::zeros(&[40]);
+        assert!(flat.check_chain().unwrap_err().contains("dense layer"));
+        let mut bias = m;
+        bias.layers[0].b = Tensor::zeros(&[9]);
+        assert!(bias.check_chain().is_err());
     }
 
     #[test]

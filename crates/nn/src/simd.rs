@@ -40,8 +40,21 @@
 //! `tests/simd_parity_prop.rs` for the tolerance contract. That contract
 //! assumes finite inputs: [`gemm_scalar`]/[`gemm_tn_scalar`] skip
 //! zero-valued contributions (so `0 × inf` drops out) while the SIMD
-//! kernels compute them (`0 × inf → NaN`) — a diverged model with
-//! non-finite weights can therefore NaN on one arm and not the other.
+//! kernels compute them (`0 × inf → NaN`), except for the trailing zeros
+//! of rows at least [`TRIM_MIN_WIDTH`] wide, which they skip — a
+//! diverged model with non-finite weights can therefore NaN on one arm
+//! and not the other.
+//!
+//! # Zero skipping is exact
+//!
+//! A lane accumulator seeded with `+0` (or a bias with no `-0` lane)
+//! never becomes `-0` under round-to-nearest, and adding a `±0` product
+//! to a value that is not `-0` leaves it unchanged. So skipping a
+//! product whose input is `+0` changes no bit: the AVX2 kernels stop
+//! each wide input row at its last non-zero column (the critic's
+//! observation is mostly padding), and [`gemm_tn_rows`] computes a
+//! `dW` over a packed subset of rows when every row left out carries an
+//! all-`±0` gradient row.
 //!
 //! # Row-count invariance
 //!
@@ -80,6 +93,32 @@ pub fn simd_enabled() -> bool {
 
 // ------------------------------------------------------------- C = A·B
 
+/// Input width from which the AVX2 kernels skip each row's trailing
+/// zeros: narrower rows are cheaper to multiply than to scan.
+pub const TRIM_MIN_WIDTH: usize = 64;
+
+/// Bit pattern of `-0.0f32`.
+const NEG_ZERO: u32 = 0x8000_0000;
+
+/// One past the last element of `row` whose bits are not `+0.0` (0 for
+/// an all-`+0` row). Scans 16-wide windows from the end, so a row of
+/// mostly trailing padding costs a few vector compares.
+#[inline]
+pub fn nonzero_extent(row: &[f32]) -> usize {
+    let mut end = row.len();
+    while end >= 16 {
+        let w: &[f32; 16] = row[end - 16..end].try_into().expect("16-wide window");
+        if w.iter().fold(0u32, |acc, v| acc | v.to_bits()) != 0 {
+            break;
+        }
+        end -= 16;
+    }
+    row[..end]
+        .iter()
+        .rposition(|v| v.to_bits() != 0)
+        .map_or(0, |p| p + 1)
+}
+
 /// SIMD `C[m,n] = A[m,k] @ B[k,n]`, optionally seeded with a broadcast
 /// `bias[n]` row (otherwise zero). Returns `false` without touching `out`
 /// when SIMD is unavailable or `n < 8`; `out` must hold `m * n` elements.
@@ -98,7 +137,20 @@ pub fn gemm(
     }
     #[cfg(target_arch = "x86_64")]
     {
-        unsafe { gemm_avx2(a, m, k, b, n, bias, out) };
+        // Trailing zeros of an input row add nothing: a lane accumulator
+        // that is not `-0` is unchanged by a `±0` product, and one seeded
+        // with `+0` or a bias that is not `-0` never becomes `-0`. So
+        // wide rows stop at their last non-zero column — unless a bias
+        // lane is `-0`, where the trim is off.
+        let trim = k >= TRIM_MIN_WIDTH
+            && bias.is_none_or(|bv| bv[..n].iter().all(|v| v.to_bits() != NEG_ZERO));
+        unsafe {
+            if trim {
+                gemm_avx2::<true>(a, m, k, b, n, bias, out)
+            } else {
+                gemm_avx2::<false>(a, m, k, b, n, bias, out)
+            }
+        };
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -138,12 +190,15 @@ pub fn gemm_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut
 /// as a tail (the row-count-invariance contract of the module docs), and
 /// widening the tiles is invisible to every parity test.
 ///
+/// With `TRIM` each row block's chains stop at the block's last non-zero
+/// input column (see [`gemm`]); without it they run the full `k`.
+///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available and slice lengths cover the
 /// dims (`a ≥ m*k`, `b ≥ k*n`, `out ≥ m*n`, `bias ≥ n` when given).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_avx2(
+unsafe fn gemm_avx2<const TRIM: bool>(
     a: &[f32],
     m: usize,
     k: usize,
@@ -159,6 +214,14 @@ unsafe fn gemm_avx2(
     }
     let n16 = n - n % 16;
     let n8 = n - n % 8;
+    let extent = |rows: std::ops::Range<usize>| -> usize {
+        if !TRIM {
+            return k;
+        }
+        rows.map(|i| nonzero_extent(&a[i * k..(i + 1) * k]))
+            .max()
+            .unwrap_or(0)
+    };
     unsafe {
         let seed = |j: usize| -> __m256 {
             match bias {
@@ -168,6 +231,7 @@ unsafe fn gemm_avx2(
         };
         let mut i = 0;
         while i + 4 <= m {
+            let kend = extent(i..i + 4);
             let mut j = 0;
             while j < n16 {
                 let s0 = seed(j);
@@ -176,7 +240,7 @@ unsafe fn gemm_avx2(
                 let (mut a10, mut a11) = (s0, s1);
                 let (mut a20, mut a21) = (s0, s1);
                 let (mut a30, mut a31) = (s0, s1);
-                for kk in 0..k {
+                for kk in 0..kend {
                     let w0 = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
                     let w1 = _mm256_loadu_ps(b.as_ptr().add(kk * n + j + 8));
                     let x0 = _mm256_set1_ps(*a.get_unchecked(i * k + kk));
@@ -209,7 +273,7 @@ unsafe fn gemm_avx2(
             while j < n8 {
                 let s = seed(j);
                 let (mut a0, mut a1, mut a2, mut a3) = (s, s, s, s);
-                for kk in 0..k {
+                for kk in 0..kend {
                     let wr = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
                     a0 = _mm256_fmadd_ps(_mm256_set1_ps(*a.get_unchecked(i * k + kk)), wr, a0);
                     a1 =
@@ -231,11 +295,12 @@ unsafe fn gemm_avx2(
         // k-ascending FMA chain as the 4-row blocks above (row-count
         // invariance).
         while i < m {
+            let kend = extent(i..i + 1);
             let mut j = 0;
             while j < n16 {
                 let mut acc0 = seed(j);
                 let mut acc1 = seed(j + 8);
-                for kk in 0..k {
+                for kk in 0..kend {
                     let x = _mm256_set1_ps(*a.get_unchecked(i * k + kk));
                     acc0 = _mm256_fmadd_ps(x, _mm256_loadu_ps(b.as_ptr().add(kk * n + j)), acc0);
                     acc1 =
@@ -247,7 +312,7 @@ unsafe fn gemm_avx2(
             }
             while j < n8 {
                 let mut acc = seed(j);
-                for kk in 0..k {
+                for kk in 0..kend {
                     let wr = _mm256_loadu_ps(b.as_ptr().add(kk * n + j));
                     acc = _mm256_fmadd_ps(_mm256_set1_ps(*a.get_unchecked(i * k + kk)), wr, acc);
                 }
@@ -502,6 +567,11 @@ unsafe fn gemm_nt_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: 
 
 // --------------------------------------------------------- C = Aᵀ·B (TN)
 
+/// Rows the AVX2 TN kernel accumulates in registers before one add into
+/// `out`. The chunk boundaries are part of the kernel's rounding, so
+/// [`gemm_tn_rows`] keeps them over the original row index.
+pub const TN_ROW_CHUNK: usize = 512;
+
 /// SIMD `C[m,n] = A[r,m]ᵀ @ B[r,n]` without materializing the transpose
 /// (the `dW = Xᵀ·dY` backward kernel): rank-1 updates blocked 4 deep over
 /// `r` so each read-modify-write of an output row absorbs four FMAs.
@@ -513,12 +583,74 @@ pub fn gemm_tn(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f3
     }
     #[cfg(target_arch = "x86_64")]
     {
-        unsafe { gemm_tn_avx2(a, r, m, b, n, out) };
+        unsafe { gemm_tn_dispatch(a, r, m, b, n, None, out) };
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         false
+    }
+}
+
+/// [`gemm_tn`] over a packed subset of a taller pair of matrices: row `p`
+/// of `a` (`[row_ids.len(), m]`) and `b` (`[row_ids.len(), n]`) is row
+/// `row_ids[p]` of the originals, `row_ids` strictly ascending. The SIMD
+/// kernel keeps [`gemm_tn`]'s [`TN_ROW_CHUNK`] boundaries over the
+/// *original* row index, so when every row left out has an all-`±0` row
+/// of `b`, the result is bit-identical to [`gemm_tn`] over the originals:
+/// a lane accumulator starts at `+0` and round-to-nearest never turns it
+/// into `-0`, so adding a `±0` product leaves it unchanged, and a chunk
+/// with no packed row adds `+0` to `out`. Returns `false` (nothing
+/// written) exactly when [`gemm_tn`] would; the caller then runs
+/// [`gemm_tn_scalar`] on the packed rows, whose zero-skipping row loop is
+/// exact under the same condition.
+pub fn gemm_tn_rows(
+    a: &[f32],
+    m: usize,
+    b: &[f32],
+    n: usize,
+    row_ids: &[u32],
+    out: &mut [f32],
+) -> bool {
+    let r = row_ids.len();
+    debug_assert!(a.len() >= r * m && b.len() >= r * n && out.len() >= m * n);
+    debug_assert!(row_ids.windows(2).all(|w| w[0] < w[1]), "row ids ascend");
+    if n < 8 || !simd_enabled() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        unsafe { gemm_tn_dispatch(a, r, m, b, n, Some(row_ids), out) };
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Pick the TN kernel: wide inputs skip each row's trailing zeros. A lane
+/// sum starts at `+0` and round-to-nearest never turns it into `-0`, so
+/// a `±0` product leaves it unchanged and the skip is exact.
+///
+/// # Safety
+/// As [`gemm_tn_avx2`].
+#[cfg(target_arch = "x86_64")]
+unsafe fn gemm_tn_dispatch(
+    a: &[f32],
+    r: usize,
+    m: usize,
+    b: &[f32],
+    n: usize,
+    row_ids: Option<&[u32]>,
+    out: &mut [f32],
+) {
+    unsafe {
+        if m >= TRIM_MIN_WIDTH {
+            gemm_tn_avx2::<true>(a, r, m, b, n, row_ids, out)
+        } else {
+            gemm_tn_avx2::<false>(a, r, m, b, n, row_ids, out)
+        }
     }
 }
 
@@ -546,22 +678,33 @@ pub fn gemm_tn_scalar(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &
 /// across a whole r-chunk before a single read-modify-write of `out`, so
 /// B's column slice streams from cache and A contributes four broadcasts
 /// per r; 2- and 1-row variants absorb the row remainder, 8-wide and
-/// scalar tails handle ragged n. The r-chunking (512) keeps the streamed
-/// slice L1/L2-resident.
+/// scalar tails handle ragged n. The r-chunking ([`TN_ROW_CHUNK`]) keeps
+/// the streamed slice L1/L2-resident.
 ///
 /// Each output element accumulates in its own lane, r ascending within
 /// every chunk — so the block geometry (4 vs 2 vs 1 rows per tile) never
-/// changes a value.
+/// changes a value. With `row_ids` the rows are a packed subset and a
+/// chunk is the run of packed rows whose original index falls in one
+/// [`TN_ROW_CHUNK`]-row chunk of the originals ([`gemm_tn_rows`]). With
+/// `TRIM` a row is skipped for every column block past its last non-zero
+/// input (see [`gemm_tn_dispatch`]).
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available and slice lengths cover the
-/// dims.
+/// dims (`row_ids.len() == r` when given).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+unsafe fn gemm_tn_avx2<const TRIM: bool>(
+    a: &[f32],
+    r: usize,
+    m: usize,
+    b: &[f32],
+    n: usize,
+    row_ids: Option<&[u32]>,
+    out: &mut [f32],
+) {
     use std::arch::x86_64::*;
     assert!(a.len() >= r * m && b.len() >= r * n && out.len() >= m * n);
-    const R_CHUNK: usize = 512;
     let n16 = n - n % 16;
     let n8 = n - n % 8;
     let m4 = m - m % 4;
@@ -570,7 +713,24 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
     unsafe {
         let mut r0 = 0;
         while r0 < r {
-            let r1 = (r0 + R_CHUNK).min(r);
+            let r1 = match row_ids {
+                None => (r0 + TN_ROW_CHUNK).min(r),
+                Some(ids) => {
+                    let chunk = ids[r0] as usize / TN_ROW_CHUNK;
+                    r0 + ids[r0..]
+                        .iter()
+                        .take_while(|&&id| id as usize / TN_ROW_CHUNK == chunk)
+                        .count()
+                }
+            };
+            // Rows whose input ends before column block `i` add only `±0`
+            // to its lanes and are skipped.
+            let mut ext = [0u32; TN_ROW_CHUNK];
+            if TRIM {
+                for (e, row) in ext.iter_mut().zip(r0..r1) {
+                    *e = nonzero_extent(&a[row * m..(row + 1) * m]) as u32;
+                }
+            }
             let mut j = 0;
             while j < n16 {
                 let mut i = 0;
@@ -584,6 +744,9 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
                     let mut acc30 = _mm256_setzero_ps();
                     let mut acc31 = _mm256_setzero_ps();
                     for row in r0..r1 {
+                        if TRIM && ext[row - r0] as usize <= i {
+                            continue;
+                        }
                         let bp = b.as_ptr().add(row * n + j);
                         let b0 = _mm256_loadu_ps(bp);
                         let b1 = _mm256_loadu_ps(bp.add(8));
@@ -621,6 +784,9 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
                     let mut acc10 = _mm256_setzero_ps();
                     let mut acc11 = _mm256_setzero_ps();
                     for row in r0..r1 {
+                        if TRIM && ext[row - r0] as usize <= i {
+                            continue;
+                        }
                         let bp = b.as_ptr().add(row * n + j);
                         let b0 = _mm256_loadu_ps(bp);
                         let b1 = _mm256_loadu_ps(bp.add(8));
@@ -643,6 +809,9 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
                     let mut acc0 = _mm256_setzero_ps();
                     let mut acc1 = _mm256_setzero_ps();
                     for row in r0..r1 {
+                        if TRIM && ext[row - r0] as usize <= i {
+                            continue;
+                        }
                         let bp = b.as_ptr().add(row * n + j);
                         let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
                         acc0 = _mm256_fmadd_ps(x0, _mm256_loadu_ps(bp), acc0);
@@ -663,6 +832,9 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
                     let mut acc2 = _mm256_setzero_ps();
                     let mut acc3 = _mm256_setzero_ps();
                     for row in r0..r1 {
+                        if TRIM && ext[row - r0] as usize <= i {
+                            continue;
+                        }
                         let b0 = _mm256_loadu_ps(b.as_ptr().add(row * n + j));
                         let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
                         acc0 = _mm256_fmadd_ps(x0, b0, acc0);
@@ -683,6 +855,9 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
                     let mut acc0 = _mm256_setzero_ps();
                     let mut acc1 = _mm256_setzero_ps();
                     for row in r0..r1 {
+                        if TRIM && ext[row - r0] as usize <= i {
+                            continue;
+                        }
                         let b0 = _mm256_loadu_ps(b.as_ptr().add(row * n + j));
                         let x0 = _mm256_set1_ps(*a.get_unchecked(row * m + i));
                         let x1 = _mm256_set1_ps(*a.get_unchecked(row * m + i + 1));
@@ -698,6 +873,9 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
                 while i < m {
                     let mut acc = _mm256_setzero_ps();
                     for row in r0..r1 {
+                        if TRIM && ext[row - r0] as usize <= i {
+                            continue;
+                        }
                         acc = _mm256_fmadd_ps(
                             _mm256_set1_ps(*a.get_unchecked(row * m + i)),
                             _mm256_loadu_ps(b.as_ptr().add(row * n + j)),
@@ -714,6 +892,9 @@ unsafe fn gemm_tn_avx2(a: &[f32], r: usize, m: usize, b: &[f32], n: usize, out: 
                 for i in 0..m {
                     let mut s = 0.0f32;
                     for row in r0..r1 {
+                        if TRIM && ext[row - r0] as usize <= i {
+                            continue;
+                        }
                         s += a[row * m + i] * b[row * n + jj];
                     }
                     out[i * n + jj] += s;
@@ -913,6 +1094,91 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn trailing_zero_trim_matches_the_full_fma_chain() {
+        // The AVX2 kernels skip each wide row's trailing zeros. Every lane
+        // is an FMA chain, so `f32::mul_add` over *all* columns reproduces
+        // the untrimmed bits; the trimmed kernels must equal it exactly.
+        if !simd_enabled() {
+            return;
+        }
+        let (m, k, n) = (9, 96, 24);
+        let mut a = filled(m * k, |i| (i as f32 * 0.37).sin());
+        for (r, row) in a.chunks_mut(k).enumerate() {
+            row[(r * 13) % k..].fill(0.0); // row 0 all zero, the rest ragged
+        }
+        let w = filled(k * n, |i| (i as f32 * 0.11).cos());
+        let bias = filled(n, |i| i as f32 * 0.01 - 0.1);
+        let mut fast = vec![f32::NAN; m * n];
+        assert!(gemm(&a, m, k, &w, n, Some(&bias), &mut fast));
+        for i in 0..m {
+            for j in 0..n {
+                let full =
+                    (0..k).fold(bias[j], |acc, kk| a[i * k + kk].mul_add(w[kk * n + j], acc));
+                assert_eq!(fast[i * n + j].to_bits(), full.to_bits(), "gemm ({i},{j})");
+            }
+        }
+
+        // dW = Aᵀ·B over two 512-row chunks: per chunk a `+0`-seeded FMA
+        // chain, added into `out`.
+        let (r, m) = (600, 70);
+        let mut x = filled(r * m, |i| (i as f32 * 0.23).sin());
+        for (row, xr) in x.chunks_mut(m).enumerate() {
+            xr[(row * 7) % m..].fill(0.0);
+        }
+        let dy = filled(r * 16, |i| (i as f32 * 0.31).cos());
+        let mut dw = vec![f32::NAN; m * 16];
+        assert!(gemm_tn(&x, r, m, &dy, 16, &mut dw));
+        for i in 0..m {
+            for j in 0..16 {
+                let full = [0..TN_ROW_CHUNK, TN_ROW_CHUNK..r]
+                    .iter()
+                    .fold(0.0f32, |out, rows| {
+                        out + rows.clone().fold(0.0f32, |acc, row| {
+                            x[row * m + i].mul_add(dy[row * 16 + j], acc)
+                        })
+                    });
+                assert_eq!(
+                    dw[i * 16 + j].to_bits(),
+                    full.to_bits(),
+                    "gemm_tn ({i},{j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_tn_matches_dense_tn_when_left_out_rows_are_zero() {
+        // Rows left out carry all-±0 gradient rows; the packed product
+        // keeps the dense 512-row chunk boundaries, so the bits agree.
+        let (r, m, n) = (1100, 12, 16);
+        let x = filled(r * m, |i| (i as f32 * 0.19).sin());
+        let mut dy = filled(r * n, |i| (i as f32 * 0.07).cos());
+        let ids: Vec<u32> = (0..r as u32).filter(|i| i % 3 == 0 || i % 7 == 1).collect();
+        for row in 0..r {
+            if !ids.contains(&(row as u32)) {
+                let sign = if row % 2 == 0 { 0.0 } else { -0.0 };
+                dy[row * n..(row + 1) * n].fill(sign);
+            }
+        }
+        let mut dense = vec![f32::NAN; m * n];
+        if !gemm_tn(&x, r, m, &dy, n, &mut dense) {
+            gemm_tn_scalar(&x, r, m, &dy, n, &mut dense);
+        }
+        let gather = |src: &[f32], w: usize| -> Vec<f32> {
+            ids.iter()
+                .flat_map(|&i| src[i as usize * w..(i as usize + 1) * w].to_vec())
+                .collect()
+        };
+        let (px, pdy) = (gather(&x, m), gather(&dy, n));
+        let mut packed = vec![f32::NAN; m * n];
+        if !gemm_tn_rows(&px, m, &pdy, n, &ids, &mut packed) {
+            gemm_tn_scalar(&px, ids.len(), m, &pdy, n, &mut packed);
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&packed), bits(&dense));
     }
 
     #[test]

@@ -82,10 +82,36 @@ impl Deserialize for Shape {
 }
 
 /// A dense row-major tensor of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
+}
+
+/// A tensor is only ever built with as many elements as its shape
+/// holds; a checkpoint that disagrees is a parse error, not a panic in
+/// the first kernel that trusts the shape.
+impl Deserialize for Tensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            data: Vec<f32>,
+            shape: Shape,
+        }
+        let Raw { data, shape } = Raw::from_value(v)?;
+        let volume = shape
+            .as_slice()
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d));
+        if volume != Some(data.len()) {
+            return Err(serde::Error::custom(format!(
+                "tensor data length {} does not match shape {:?}",
+                data.len(),
+                shape
+            )));
+        }
+        Ok(Tensor { data, shape })
+    }
 }
 
 impl Tensor {
@@ -372,6 +398,18 @@ mod tests {
         assert_eq!(t.at(0, 2), 3.0);
         assert_eq!(t.at(1, 0), 4.0);
         assert_eq!(t.len(), 6);
+    }
+
+    #[test]
+    fn deserialize_rejects_a_volume_mismatch() {
+        let good = serde_json::to_string(&Tensor::zeros(&[2, 3])).unwrap();
+        assert!(serde_json::from_str::<Tensor>(&good).is_ok());
+        let short = good.replacen("0,", "", 1);
+        assert_ne!(short, good);
+        let err = serde_json::from_str::<Tensor>(&short).unwrap_err();
+        assert!(err.to_string().contains("does not match shape"), "{err}");
+        let huge = good.replace("[2,3]", "[4294967296,4294967296,4294967296]");
+        assert!(serde_json::from_str::<Tensor>(&huge).is_err());
     }
 
     #[test]

@@ -11,7 +11,9 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use rlsched_nn::{clip_global_norm, fused, Adam, Graph, Mlp, ParamBinds, Scratch, Tensor, Var};
+use rlsched_nn::{
+    clip_global_norm, fused, simd, Adam, Graph, Mlp, ParamBinds, Scratch, Tensor, Var,
+};
 
 use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
@@ -287,7 +289,9 @@ pub struct UpdateStats {
 /// attributable).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UpdateProfile {
-    /// Minibatch row gather into the reusable staging buffers.
+    /// Per-batch preparation (observation extents, a kernel head's
+    /// packed live rows), the minibatch index draw, and the row gather
+    /// into each chunk's staging buffers (one fan-out over the chunks).
     pub gather: Duration,
     /// Actor/critic forward passes over every chunk (tape: graph build
     /// + eager eval, loss tail included).
@@ -329,8 +333,15 @@ pub struct Ppo<P: PolicyModel, V: ValueModel> {
     pi_chunks: Vec<Chunk>,
     /// Per-chunk state of the critic's minibatch loop.
     vf_chunks: Vec<Chunk>,
-    /// Reusable minibatch gather buffers, shared by both backends.
-    mb: MiniBuf,
+    /// The current iteration's drawn minibatch row indices (empty when
+    /// the iteration runs on the whole batch).
+    drawn: Vec<usize>,
+    /// Per batch row, the observation's length without its trailing zeros
+    /// (padding slots): the minibatch gather copies only that much.
+    obs_extent: Vec<usize>,
+    /// The batch's live job rows, packed once per update for a fused
+    /// kernel-head policy.
+    live_rows: fused::LiveRows,
 }
 
 impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
@@ -355,7 +366,9 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             update_rng,
             pi_chunks: Vec::new(),
             vf_chunks: Vec::new(),
-            mb: MiniBuf::default(),
+            drawn: Vec::new(),
+            obs_extent: Vec::new(),
+            live_rows: fused::LiveRows::new(),
         }
     }
 
@@ -466,12 +479,14 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// One PPO update over a collected batch.
     ///
     /// Every policy and value iteration splits its minibatch into fixed
-    /// [`SHARD_ROWS`]-row chunks, computes each chunk's forward and
-    /// gradient partial (mean seeds scaled by the whole minibatch size),
-    /// merges the partials with a chunk-index-ordered binary tree, and
-    /// folds the loss partials in chunk order. The chunk backend is the
-    /// tape-free fused kernels ([`rlsched_nn::fused`], chunks spread over
-    /// the rayon shim's workers, zero heap allocation at steady state)
+    /// [`SHARD_ROWS`]-row chunks, gathers each chunk's drawn rows on the
+    /// worker that runs it, computes each chunk's forward and gradient
+    /// partial (mean seeds scaled by the whole minibatch size), merges
+    /// the partials with a chunk-index-ordered binary tree, and folds the
+    /// loss partials in chunk order. The chunk backend is the tape-free
+    /// fused kernels ([`rlsched_nn::fused`], chunks spread over the rayon
+    /// shim's workers, zero heap allocation at steady state; a kernel
+    /// head scores the batch's live job rows, packed once per update)
     /// when both networks support them, and otherwise (or under
     /// `RLSCHED_FORCE_TAPE=1`) a per-chunk autodiff [`Graph`]. The
     /// result is bit-identical across backends and at every worker
@@ -512,28 +527,54 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             update_rng,
             pi_chunks,
             vf_chunks,
-            mb,
+            drawn,
+            obs_extent,
+            live_rows,
         } = self;
+
+        // Per-batch preparation, counted as gather: the observation
+        // extents for minibatch gathers, and a fused kernel head's packed
+        // live rows (its iterations then gather no observations).
+        let t0 = Instant::now();
+        if cfg.minibatch.is_some_and(|size| size < batch.len()) {
+            obs_extent.clear();
+            obs_extent.extend(batch.obs.data().chunks_exact(od).map(simd::nonzero_extent));
+        }
+        let pi_live = fused
+            && policy
+                .fused()
+                .is_some_and(|p| matches!(p.head, fused::FusedHead::Kernel { .. }));
+        if let Some(fp) = policy.fused().filter(|_| pi_live) {
+            live_rows.pack(&fp, batch.obs.data(), batch.masks.data());
+        }
+        let pi_obs = (!pi_live).then_some(&obs_extent[..]);
+        prof.gather += t0.elapsed();
 
         for it in 0..cfg.train_pi_iters {
             let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
+            let rows = IterRows::draw(cfg, update_rng, batch, pi_obs, drawn);
+            let n = rows.len();
             let chunks = chunks_for(pi_chunks, n, fused);
+            rows.gather(chunks);
             let t1 = Instant::now();
             prof.gather += t1 - t0;
             let fp = policy.fused().filter(|_| fused);
             match &fp {
                 Some(fp) => par_chunks(chunks, |c, chunk| {
-                    let v = view.chunk(c, od, na);
-                    let rows = v.actions.len();
-                    fused::policy_forward(fp, v.obs, v.masks, v.actions, rows, chunk.fused());
+                    let v = rows.chunk(c, &chunk.staged, od, na);
+                    let s = chunk.state.fused();
+                    if pi_live {
+                        let idx = rows.indices(c);
+                        fused::policy_forward_live(fp, live_rows, idx, v.masks, v.actions, s);
+                    } else {
+                        let m = v.actions.len();
+                        fused::policy_forward(fp, v.obs, v.masks, v.actions, m, s);
+                    }
                 }),
                 None => {
                     for (c, chunk) in chunks.iter_mut().enumerate() {
-                        chunk
-                            .tape()
-                            .policy_forward(&*policy, &view.chunk(c, od, na), cfg, n);
+                        let v = rows.chunk(c, &chunk.staged, od, na);
+                        chunk.state.tape().policy_forward(&*policy, &v, cfg, n);
                     }
                 }
             }
@@ -541,10 +582,13 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             prof.forward += t2 - t1;
 
             // Diagnostics before committing to a backward pass.
-            let kl: f64 = view
-                .logp_old
+            let kl: f64 = chunks
                 .iter()
-                .zip(chunks.iter().flat_map(Chunk::selected_logp))
+                .enumerate()
+                .flat_map(|(c, chunk)| {
+                    let v = rows.chunk(c, &chunk.staged, od, na);
+                    v.logp_old.iter().zip(chunk.selected_logp())
+                })
                 .map(|(&o, &nw)| (o - nw) as f64)
                 .sum::<f64>()
                 / n as f64;
@@ -554,8 +598,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             }
             match &fp {
                 Some(fp) => par_chunks(chunks, |c, chunk| {
-                    let v = view.chunk(c, od, na);
-                    let rows = v.actions.len();
+                    let v = rows.chunk(c, &chunk.staged, od, na);
                     (chunk.loss, chunk.ent) = fused::policy_backward_scaled(
                         fp,
                         v.obs,
@@ -564,14 +607,14 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
                         v.logp_old,
                         cfg.clip_ratio,
                         cfg.ent_coef,
-                        rows,
+                        v.actions.len(),
                         n,
-                        chunk.fused(),
+                        chunk.state.fused(),
                     );
                 }),
                 None => {
                     for c in chunks.iter_mut() {
-                        (c.loss, c.ent) = c.tape().backward();
+                        (c.loss, c.ent) = c.state.tape().backward();
                     }
                 }
             }
@@ -606,22 +649,22 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
 
         for it in 0..cfg.train_v_iters {
             let t0 = Instant::now();
-            let view = iteration_view(cfg, update_rng, batch, mb);
-            let n = view.actions.len();
+            let rows = IterRows::draw(cfg, update_rng, batch, Some(obs_extent), drawn);
+            let n = rows.len();
             let chunks = chunks_for(vf_chunks, n, fused);
+            rows.gather(chunks);
             let t1 = Instant::now();
             prof.gather += t1 - t0;
             let vm = value.fused().filter(|_| fused);
             match vm {
                 Some(vm) => par_chunks(chunks, |c, chunk| {
-                    let v = view.chunk(c, od, na);
-                    fused::value_forward(vm, v.obs, v.returns.len(), chunk.fused());
+                    let v = rows.chunk(c, &chunk.staged, od, na);
+                    fused::value_forward(vm, v.obs, v.returns.len(), chunk.state.fused());
                 }),
                 None => {
                     for (c, chunk) in chunks.iter_mut().enumerate() {
-                        chunk
-                            .tape()
-                            .value_forward(&*value, &view.chunk(c, od, na), n);
+                        let v = rows.chunk(c, &chunk.staged, od, na);
+                        chunk.state.tape().value_forward(&*value, &v, n);
                     }
                 }
             }
@@ -629,14 +672,20 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             prof.forward += t2 - t1;
             match vm {
                 Some(vm) => par_chunks(chunks, |c, chunk| {
-                    let v = view.chunk(c, od, na);
-                    let rows = v.returns.len();
-                    chunk.loss =
-                        fused::value_backward_scaled(vm, v.obs, v.returns, rows, n, chunk.fused());
+                    let v = rows.chunk(c, &chunk.staged, od, na);
+                    let m = v.returns.len();
+                    chunk.loss = fused::value_backward_scaled(
+                        vm,
+                        v.obs,
+                        v.returns,
+                        m,
+                        n,
+                        chunk.state.fused(),
+                    );
                 }),
                 None => {
                     for c in chunks.iter_mut() {
-                        c.loss = c.tape().backward().0;
+                        c.loss = c.state.tape().backward().0;
                     }
                 }
             }
@@ -676,6 +725,7 @@ fn chunks_for(store: &mut Vec<Chunk>, n: usize, fused: bool) -> &mut [Chunk] {
     if store.len() < k {
         store.resize_with(k, || Chunk {
             state: ChunkState::new(fused),
+            staged: MiniBuf::default(),
             loss: 0.0,
             ent: 0.0,
         });
@@ -725,10 +775,15 @@ fn merge_chunk_grads(chunks: &mut [Chunk]) {
 }
 
 /// One fixed [`SHARD_ROWS`]-row chunk of a minibatch iteration: its
-/// backend's forward stash and gradient partial, plus its loss partial
-/// sums (row-ascending f32 folds, folded again in chunk order).
+/// drawn minibatch rows, its backend's forward stash and gradient
+/// partial, plus its loss partial sums (row-ascending f32 folds, folded
+/// again in chunk order).
 struct Chunk {
     state: ChunkState,
+    /// The chunk's rows of a drawn minibatch, gathered on the worker that
+    /// runs the chunk (unused when the iteration runs on the whole
+    /// batch).
+    staged: MiniBuf,
     /// `Σ min(s1, s2)` (actor) or `Σ (v − R)²` (critic) over the rows.
     loss: f32,
     /// `Σ p·logp` over the rows (actor; 0 without an entropy bonus).
@@ -752,23 +807,23 @@ impl ChunkState {
             ChunkState::Tape(TapeChunk::default())
         }
     }
-}
 
-impl Chunk {
     fn fused(&mut self) -> &mut fused::FusedScratch {
-        match &mut self.state {
+        match self {
             ChunkState::Fused(s) => s,
             ChunkState::Tape(_) => unreachable!("chunk prepared for the tape backend"),
         }
     }
 
     fn tape(&mut self) -> &mut TapeChunk {
-        match &mut self.state {
+        match self {
             ChunkState::Tape(t) => t,
             ChunkState::Fused(_) => unreachable!("chunk prepared for the fused backend"),
         }
     }
+}
 
+impl Chunk {
     /// Masked log-probs `[rows, n_actions]` of the last actor forward.
     fn logp_all(&self) -> &[f32] {
         match &self.state {
@@ -929,42 +984,110 @@ impl TapeChunk {
     }
 }
 
-/// Pick the working set for one update iteration: borrowed slices of
-/// the whole batch, or a random minibatch refilled into `mb`'s
-/// reusable buffers when configured and the batch is larger. Free
-/// function so the update loop can call it (and advance the RNG stream)
-/// while holding disjoint borrows of the trainer.
-fn iteration_view<'a>(
-    cfg: &PpoConfig,
-    rng: &mut rand::rngs::StdRng,
+/// The rows of one update iteration: the whole batch, or a random
+/// minibatch (drawn with replacement) whose rows each chunk gathers into
+/// its own staging buffers.
+#[derive(Clone, Copy)]
+struct IterRows<'a> {
     batch: &'a Batch,
-    mb: &'a mut MiniBuf,
-) -> ViewRef<'a> {
-    let n = batch.len();
-    match cfg.minibatch {
-        Some(size) if size < n => {
-            mb.fill(batch, size, |hi| rng.gen_range(0..hi));
-            ViewRef {
-                obs: &mb.obs,
-                masks: &mb.masks,
-                actions: &mb.actions,
-                advantages: &mb.advantages,
-                returns: &mb.returns,
-                logp_old: &mb.logp_old,
+    /// The iteration's batch rows in order (all of them for the whole
+    /// batch).
+    idx: &'a [usize],
+    /// True when `idx` is a drawn minibatch.
+    drawn: bool,
+    /// Per batch row, the observation's length without trailing zeros —
+    /// or `None` when the iteration reads no observations (the kernel
+    /// head scores the batch's packed live rows).
+    obs_extent: Option<&'a [usize]>,
+}
+
+impl<'a> IterRows<'a> {
+    /// Draw the iteration's minibatch indices from `rng` into `idx` when
+    /// one is configured and smaller than the batch — all of them, in
+    /// row order, before any row is gathered.
+    fn draw(
+        cfg: &PpoConfig,
+        rng: &mut rand::rngs::StdRng,
+        batch: &'a Batch,
+        obs_extent: Option<&'a [usize]>,
+        idx: &'a mut Vec<usize>,
+    ) -> Self {
+        let n = batch.len();
+        idx.clear();
+        let drawn = match cfg.minibatch {
+            Some(size) if size < n => {
+                idx.extend((0..size).map(|_| rng.gen_range(0..n)));
+                true
             }
+            _ => {
+                idx.extend(0..n);
+                false
+            }
+        };
+        IterRows {
+            batch,
+            idx,
+            drawn,
+            obs_extent,
         }
-        _ => ViewRef {
-            obs: batch.obs.data(),
-            masks: batch.masks.data(),
-            actions: &batch.actions,
-            advantages: &batch.advantages,
-            returns: &batch.returns,
-            logp_old: &batch.logp_old,
-        },
+    }
+
+    fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Chunk `c`'s batch rows.
+    fn indices(&self, c: usize) -> &'a [usize] {
+        &self.idx[chunk_range(c, self.idx.len())]
+    }
+
+    /// Gather every chunk's drawn rows into its staging buffers, each on
+    /// the worker that runs the chunk (nothing to do for the whole
+    /// batch).
+    fn gather(&self, chunks: &mut [Chunk]) {
+        if self.drawn {
+            par_chunks(chunks, |c, chunk| {
+                chunk
+                    .staged
+                    .fill(self.batch, self.obs_extent, self.indices(c));
+            });
+        }
+    }
+
+    /// Chunk `c`'s rows: its staged minibatch rows, or its slice of the
+    /// whole batch. `od`/`na` are the observation/mask widths of one row.
+    fn chunk<'s>(&'s self, c: usize, staged: &'s MiniBuf, od: usize, na: usize) -> ViewRef<'s> {
+        if self.drawn {
+            return ViewRef {
+                obs: &staged.obs,
+                masks: &staged.masks,
+                actions: &staged.actions,
+                advantages: &staged.advantages,
+                returns: &staged.returns,
+                logp_old: &staged.logp_old,
+            };
+        }
+        let b = self.batch;
+        let r = chunk_range(c, b.len());
+        ViewRef {
+            obs: &b.obs.data()[r.start * od..r.end * od],
+            masks: &b.masks.data()[r.start * na..r.end * na],
+            actions: &b.actions[r.clone()],
+            advantages: &b.advantages[r.clone()],
+            returns: &b.returns[r.clone()],
+            logp_old: &b.logp_old[r],
+        }
     }
 }
 
-/// Borrowed view of one update iteration's working set.
+/// Chunk `c`'s rows of an `n`-row iteration:
+/// `[c·SHARD_ROWS, min((c+1)·SHARD_ROWS, n))`.
+fn chunk_range(c: usize, n: usize) -> std::ops::Range<usize> {
+    let lo = c * SHARD_ROWS;
+    lo..(lo + SHARD_ROWS).min(n)
+}
+
+/// Borrowed view of one chunk's working set.
 struct ViewRef<'a> {
     obs: &'a [f32],
     masks: &'a [f32],
@@ -974,25 +1097,8 @@ struct ViewRef<'a> {
     logp_old: &'a [f32],
 }
 
-impl<'a> ViewRef<'a> {
-    /// Chunk `c`'s rows, `[c·SHARD_ROWS, min((c+1)·SHARD_ROWS, n))`;
-    /// `od`/`na` are the observation/mask widths of one row.
-    fn chunk(&self, c: usize, od: usize, na: usize) -> ViewRef<'a> {
-        let lo = c * SHARD_ROWS;
-        let hi = (lo + SHARD_ROWS).min(self.actions.len());
-        ViewRef {
-            obs: &self.obs[lo * od..hi * od],
-            masks: &self.masks[lo * na..hi * na],
-            actions: &self.actions[lo..hi],
-            advantages: &self.advantages[lo..hi],
-            returns: &self.returns[lo..hi],
-            logp_old: &self.logp_old[lo..hi],
-        }
-    }
-}
-
-/// Reusable minibatch gather buffers (filled once per iteration, never
-/// reallocated at steady state).
+/// Reusable minibatch staging buffers for one chunk (refilled every
+/// iteration, never reallocated at steady state).
 #[derive(Default)]
 struct MiniBuf {
     obs: Vec<f32>,
@@ -1004,22 +1110,26 @@ struct MiniBuf {
 }
 
 impl MiniBuf {
-    /// Gather `size` random rows of `batch` (with replacement, drawn via
-    /// `draw(n)`) into the buffers.
-    fn fill(&mut self, batch: &Batch, size: usize, mut draw: impl FnMut(usize) -> usize) {
+    /// Gather rows `idx` of `batch` into the buffers. An observation is
+    /// copied up to `obs_extent` and zero-filled after it, which gives the
+    /// same bits: what is left out is `+0.0` padding. Without
+    /// `obs_extent` no observation is gathered.
+    fn fill(&mut self, batch: &Batch, obs_extent: Option<&[usize]>, idx: &[usize]) {
         let obs_dim = batch.obs.cols();
         let n_actions = batch.masks.cols();
-        let n = batch.len();
         self.obs.clear();
         self.masks.clear();
         self.actions.clear();
         self.advantages.clear();
         self.returns.clear();
         self.logp_old.clear();
-        for _ in 0..size {
-            let i = draw(n);
-            self.obs
-                .extend_from_slice(&batch.obs.data()[i * obs_dim..(i + 1) * obs_dim]);
+        for &i in idx {
+            if let Some(ext) = obs_extent {
+                let e = ext[i];
+                self.obs
+                    .extend_from_slice(&batch.obs.data()[i * obs_dim..i * obs_dim + e]);
+                self.obs.resize(self.obs.len() + obs_dim - e, 0.0);
+            }
             self.masks
                 .extend_from_slice(&batch.masks.data()[i * n_actions..(i + 1) * n_actions]);
             self.actions.push(batch.actions[i]);

@@ -44,8 +44,9 @@
 //! * **Coalescing**: a shard blocks for its first request, then drains
 //!   arrivals until the configured window elapses or the batch cap is
 //!   reached, and scores the whole stack through one forward.
-//! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag, the accept
-//!   loop notices it, parked connection readers are unblocked by
+//! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag and wakes the
+//!   accept loop, which blocks in `accept`, with a connection of its
+//!   own; parked connection readers are unblocked by
 //!   shutting their streams down, shards drain and exit when every
 //!   sender is gone, and all threads are joined before the call
 //!   returns.
@@ -425,7 +426,6 @@ impl Server {
         match cfg.addr.clone() {
             ListenAddr::Tcp(spec) => {
                 let listener = TcpListener::bind(&spec)?;
-                listener.set_nonblocking(true)?;
                 let bound = ServerAddr::Tcp(listener.local_addr()?);
                 finish_spawn(listener, bound, scorer, encoder, cfg)
             }
@@ -436,7 +436,6 @@ impl Server {
                 // a dead socket fail, so this races with nothing live).
                 let _ = std::fs::remove_file(&path);
                 let listener = UnixListener::bind(&path)?;
-                listener.set_nonblocking(true)?;
                 let bound = ServerAddr::Unix(path);
                 finish_spawn(listener, bound, scorer, encoder, cfg)
             }
@@ -666,6 +665,14 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> ServeStats {
         self.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
+            // The accept loop blocks in `accept`: a connection of our own
+            // wakes it to see the flag. Redial until it exits, in case a
+            // dial fails transiently.
+            let wake = self.bound.loopback();
+            while !h.is_finished() {
+                let _ = AnyStream::dial(&wake);
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let _ = h.join();
         }
         // Unblock readers parked on idle connections; joined readers'
@@ -708,6 +715,8 @@ fn accept_loop<L: Listen>(
     let mut accept_backoff = base_backoff;
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept_stream() {
+            // The shutdown wake-up (or a client racing it): stop here.
+            Ok(_) if shared.shutdown.load(Ordering::Acquire) => break,
             Ok(stream) => {
                 accept_backoff = base_backoff;
                 let shard_txs = shard_txs.clone();
@@ -730,9 +739,6 @@ fn accept_loop<L: Listen>(
                     }
                     conns.push(h);
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(base_backoff);
             }
             Err(_) => {
                 // Transient accept failures (ECONNABORTED from a client

@@ -166,6 +166,24 @@ pub enum ServerAddr {
     Unix(PathBuf),
 }
 
+impl ServerAddr {
+    /// The address a process on this host dials to reach the server: a
+    /// wildcard TCP bind (`0.0.0.0` / `::`) becomes the loopback address
+    /// of its family.
+    pub(crate) fn loopback(&self) -> ServerAddr {
+        match self {
+            ServerAddr::Tcp(a) if a.ip().is_unspecified() => {
+                let ip: std::net::IpAddr = match a {
+                    SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+                };
+                ServerAddr::Tcp(SocketAddr::new(ip, a.port()))
+            }
+            other => other.clone(),
+        }
+    }
+}
+
 impl std::fmt::Display for ServerAddr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -263,19 +281,12 @@ pub trait Listen: Send + 'static {
     /// The stream type accepted connections arrive as.
     type Stream: Transport;
 
-    /// Toggle non-blocking accepts (the accept loop polls).
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()>;
-
-    /// Accept one pending connection.
+    /// Accept one connection, blocking until one arrives.
     fn accept_stream(&self) -> std::io::Result<Self::Stream>;
 }
 
 impl Listen for TcpListener {
     type Stream = TcpStream;
-
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        TcpListener::set_nonblocking(self, nonblocking)
-    }
 
     fn accept_stream(&self) -> std::io::Result<TcpStream> {
         self.accept().map(|(s, _peer)| s)
@@ -284,10 +295,6 @@ impl Listen for TcpListener {
 
 impl Listen for UnixListener {
     type Stream = UnixStream;
-
-    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
-        UnixListener::set_nonblocking(self, nonblocking)
-    }
 
     fn accept_stream(&self) -> std::io::Result<UnixStream> {
         self.accept().map(|(s, _peer)| s)

@@ -699,3 +699,87 @@ fn metrics_survive_panics_with_monotone_counters() {
     assert_eq!(stats.restarts, 1);
     assert_eq!(stats.shed, 0);
 }
+
+/// An idle front door sleeps in `accept` instead of polling, and
+/// shutdown still joins promptly — over TCP (loopback and wildcard
+/// binds) and UDS, with an idle client parked on a connection.
+#[test]
+fn idle_accept_loop_sleeps_and_shutdown_is_prompt() {
+    let agent = agent_for(16, 3);
+    let mut addrs = vec![
+        ListenAddr::Tcp("127.0.0.1:0".into()),
+        ListenAddr::Tcp("0.0.0.0:0".into()),
+    ];
+    #[cfg(unix)]
+    addrs.push(ListenAddr::unix_temp("chaos-shutdown"));
+    for addr in addrs {
+        let name = addr.to_string();
+        #[cfg(target_os = "linux")]
+        let before = accept_threads();
+        let handle = Server::spawn(
+            agent.scorer_snapshot(),
+            *agent.encoder(),
+            ServeConfig {
+                addr,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("server spawns");
+        let idle = handle.connect().expect("client connects");
+        #[cfg(target_os = "linux")]
+        {
+            // Other tests in this process run servers too: take the
+            // quietest accept thread that appeared with this server. A
+            // polling loop wakes every few milliseconds; a blocked one
+            // not at all.
+            std::thread::sleep(Duration::from_millis(20));
+            let ours: Vec<(String, u64)> = accept_threads()
+                .into_iter()
+                .filter(|(tid, _)| !before.iter().any(|(b, _)| b == tid))
+                .collect();
+            std::thread::sleep(Duration::from_millis(200));
+            let after = accept_threads();
+            let woke = ours
+                .iter()
+                .filter_map(|(tid, n)| after.iter().find(|(t, _)| t == tid).map(|(_, m)| m - n))
+                .min()
+                .expect("this server's accept thread is running");
+            assert!(
+                woke <= 2,
+                "{name}: idle accept thread woke {woke} times in 200 ms"
+            );
+        }
+        let t = std::time::Instant::now();
+        handle.shutdown();
+        assert!(
+            t.elapsed() < Duration::from_secs(2),
+            "{name}: shutdown took {:?}",
+            t.elapsed()
+        );
+        drop(idle);
+    }
+}
+
+/// `(tid, voluntary context switches)` of every `rlsched-serve-accept`
+/// thread in this process (thread names are cut to 15 bytes in `comm`).
+#[cfg(target_os = "linux")]
+fn accept_threads() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+        let dir = task.expect("task entry").path();
+        let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if !"rlsched-serve-accept".starts_with(comm.trim()) || comm.trim().len() < 15 {
+            continue;
+        }
+        let status = std::fs::read_to_string(dir.join("status")).unwrap_or_default();
+        let switches = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|v| v.trim().parse().ok());
+        if let Some(n) = switches {
+            let tid = dir.file_name().expect("tid").to_string_lossy().into_owned();
+            out.push((tid, n));
+        }
+    }
+    out
+}
