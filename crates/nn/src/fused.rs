@@ -74,12 +74,6 @@
 //! pass's bits; `tests/kernel_pack_prop.rs` pins packed fused against the
 //! dense tape with `to_bits` equality.
 //!
-//! A PPO update draws many minibatches from one batch, so the trainer
-//! packs the batch's live rows once ([`LiveRows`]) and each minibatch
-//! chunk copies its few rows out ([`policy_forward_live`]) instead of
-//! rescanning padded windows; [`policy_forward`] packs a dense
-//! minibatch itself. Both produce the same pack, row for row.
-//!
 //! Anything else (the LeNet CNN baseline) keeps using the tape — the
 //! dispatch lives in `rlsched-rl`'s `Ppo::update`.
 
@@ -377,111 +371,13 @@ pub fn policy_forward(
         }
         FusedHead::Kernel { .. } => {
             s.reserve_rows(p.mlp, rows);
-            let kept = |m: f32| m > infer::MASKED;
-            infer::pack_live_rows(obs, p.mlp.in_dim(), masks, kept, &mut s.x, &mut s.live);
-            score_packed_rows(p.mlp, rows, s);
+            infer::pack_live_rows(obs, p.mlp.in_dim(), masks, &mut s.x, &mut s.live);
+            forward_layers(p.mlp, &s.x, s.live.len() + 1, &mut s.acts);
+            let scores = s.acts.last().expect("non-empty MLP");
+            infer::scatter_rows(scores, &s.live, rows, &mut s.logp);
         }
     }
-    finish_policy_forward(masks, actions, width, s);
-}
-
-/// A batch's live job rows for the kernel head, packed once
-/// ([`infer::pack_live_rows`]) and shared by every minibatch iteration
-/// of an update: [`policy_forward_live`] copies a minibatch's few live
-/// rows out of it instead of scanning the minibatch's padded windows.
-#[derive(Debug, Default)]
-pub struct LiveRows {
-    /// Packed live rows of the whole batch, followed by the zero row.
-    x: Vec<f32>,
-    /// Original `[n·K]` row index of each packed row.
-    live: Vec<u32>,
-    /// Transition `t`'s packed rows are `start[t]..start[t + 1]`.
-    start: Vec<u32>,
-}
-
-impl LiveRows {
-    /// Fresh, empty pack.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pack the live job rows of an `[n, K·F]` batch with `[n, K]`
-    /// masks for the kernel-head policy `p` (buffers are reused).
-    pub fn pack(&mut self, p: &FusedPolicy<'_>, obs: &[f32], masks: &[f32]) {
-        let FusedHead::Kernel { window } = p.head else {
-            panic!("live rows feed the kernel head only");
-        };
-        let kept = |m: f32| m > infer::MASKED;
-        infer::pack_live_rows(
-            obs,
-            p.mlp.in_dim(),
-            masks,
-            kept,
-            &mut self.x,
-            &mut self.live,
-        );
-        let n = masks.len() / window;
-        self.start.clear();
-        let mut q = 0;
-        for t in 0..=n {
-            while self.live.get(q).is_some_and(|&r| (r as usize) < t * window) {
-                q += 1;
-            }
-            self.start.push(q as u32);
-        }
-    }
-}
-
-/// [`policy_forward`] for the kernel head over transitions `idx` of a
-/// batch packed into `rows` ([`LiveRows::pack`]): the minibatch's live
-/// rows are copied out of the pack, then scored exactly as
-/// [`policy_forward`] scores them — same rows, same order, same bits.
-/// `masks` and `actions` are the minibatch's own (`[idx.len(), K]`,
-/// `[idx.len()]`).
-pub fn policy_forward_live(
-    p: &FusedPolicy<'_>,
-    rows: &LiveRows,
-    idx: &[usize],
-    masks: &[f32],
-    actions: &[usize],
-    s: &mut FusedScratch,
-) {
-    let FusedHead::Kernel { window } = p.head else {
-        panic!("live rows feed the kernel head only");
-    };
-    let n = idx.len();
-    assert!(n > 0, "fused forward needs at least one transition");
-    assert_eq!(masks.len(), n * window, "mask volume");
-    assert_eq!(actions.len(), n, "one action per transition");
-    let f = p.mlp.in_dim();
-    s.reserve_rows(p.mlp, n * window);
-    infer::reserve_total(&mut s.x, (n * window + 1) * f);
-    infer::reserve_total(&mut s.live, n * window);
-    s.x.clear();
-    s.live.clear();
-    for (c, &t) in idx.iter().enumerate() {
-        let (a, b) = (rows.start[t] as usize, rows.start[t + 1] as usize);
-        s.x.extend_from_slice(&rows.x[a * f..b * f]);
-        let local = |&r: &u32| (c * window + r as usize % window) as u32;
-        s.live.extend(rows.live[a..b].iter().map(local));
-    }
-    s.x.resize(s.x.len() + f, 0.0);
-    score_packed_rows(p.mlp, n * window, s);
-    finish_policy_forward(masks, actions, window, s);
-}
-
-/// The kernel head's forward over the packed rows in `s.x` (the last one
-/// the zero row): scores scattered to all `rows` slots in `s.logp`.
-fn score_packed_rows(mlp: &Mlp, rows: usize, s: &mut FusedScratch) {
-    forward_layers(mlp, &s.x, s.live.len() + 1, &mut s.acts);
-    let scores = s.acts.last().expect("non-empty MLP");
-    infer::scatter_rows(scores, &s.live, rows, &mut s.logp);
-}
-
-/// Shared forward tail: logits in `s.logp` become masked log-probs, and
-/// the selected per-action log-probs land in `s.sel`.
-fn finish_policy_forward(masks: &[f32], actions: &[usize], width: usize, s: &mut FusedScratch) {
-    debug_assert_eq!(s.logp.len(), masks.len(), "logits volume");
+    debug_assert_eq!(s.logp.len(), n * width, "logits volume");
     for (row, mrow) in s.logp.chunks_mut(width).zip(masks.chunks(width)) {
         for (o, &m) in row.iter_mut().zip(mrow) {
             *o += m;
@@ -539,8 +435,8 @@ pub fn policy_loss_and_grads(
 /// partials of the whole minibatch's gradient. Returns the raw
 /// `(Σ min(s1,s2), Σ p·logp)` partial sums (row-ascending f32 folds over
 /// this call's rows); gradients land in [`FusedScratch::grads`]. `obs`
-/// is read by the flat head only: the kernel head walks the packed rows
-/// its forward left in the scratch.
+/// must be the forward's: the kernel head reads it through the packed
+/// live rows that [`policy_forward`] built from it.
 #[allow(clippy::too_many_arguments)] // the PPO term list + both row counts
 pub fn policy_backward_scaled(
     p: &FusedPolicy<'_>,
@@ -555,6 +451,7 @@ pub fn policy_backward_scaled(
     s: &mut FusedScratch,
 ) -> (f32, f32) {
     let (rows, width) = p.dims(n);
+    assert_eq!(obs.len(), rows * p.mlp.in_dim(), "observation volume");
     assert_eq!(s.logp.len(), n * width, "run policy_forward first");
     assert_eq!(advantages.len(), n, "one advantage per transition");
     assert_eq!(logp_old.len(), n, "one old log-prob per transition");

@@ -128,51 +128,50 @@ pub(crate) const MASKED: f32 = EXP_UNDERFLOW;
 
 /// Pack the live rows of a stacked `[rows, in_dim]` job matrix into
 /// `packed`, followed by one all-zero row, and record each packed row's
-/// original index in `live` (ascending). `keep` holds one value per row;
-/// row `r` is live when `kept(keep[r])` holds or any of its features is
-/// non-zero (compared by bits, so a `-0.0` feature counts as non-zero).
-/// Every row left out is bit-for-bit the zero row, and the dense forward
-/// kernels are row-count invariant, so the zero row's outputs are every
-/// left-out row's outputs.
+/// original index in `live` (ascending). `masks` holds one additive mask
+/// per row; row `r` is live when its slot is unmasked (`masks[r]` above
+/// `MASKED`) or any of its features is non-zero (compared by bits, so a
+/// `-0.0` feature counts as non-zero). Every row left out is bit-for-bit
+/// the zero row, and the dense forward kernels are row-count invariant,
+/// so the zero row's outputs are every left-out row's outputs.
 ///
 /// Both buffers are reserved for the dense row count on first use, so
 /// callers whose live count varies call after call never regrow them.
 pub fn pack_live_rows(
     x: &[f32],
     in_dim: usize,
-    keep: &[f32],
-    kept: impl Fn(f32) -> bool,
+    masks: &[f32],
     packed: &mut Vec<f32>,
     live: &mut Vec<u32>,
 ) {
-    let rows = keep.len();
-    assert_eq!(x.len(), rows * in_dim, "one keep value per job row");
+    let rows = masks.len();
+    assert_eq!(x.len(), rows * in_dim, "one mask per job row");
     assert!(rows < u32::MAX as usize, "too many job rows to pack");
     packed.clear();
     packed.reserve((rows + 1) * in_dim);
     live.clear();
     live.reserve(rows);
     // Blocks of rows are settled whole where they can be: padding (no
-    // feature bit, no kept row) is skipped and a block whose every row
-    // is kept is copied at once; only mixed blocks go row by row.
+    // feature bit, every slot masked) is skipped and a block whose every
+    // slot is unmasked is copied at once; only mixed blocks go row by row.
     const BLOCK_ROWS: usize = 32;
-    let blocks = x.chunks(BLOCK_ROWS * in_dim).zip(keep.chunks(BLOCK_ROWS));
-    for (b, (block, kb)) in blocks.enumerate() {
+    let blocks = x.chunks(BLOCK_ROWS * in_dim).zip(masks.chunks(BLOCK_ROWS));
+    for (b, (block, mb)) in blocks.enumerate() {
         let r0 = b * BLOCK_ROWS;
-        let (any, all) = kb.iter().fold((false, true), |(any, all), &k| {
-            let k = kept(k);
-            (any | k, all & k)
+        let (any, all) = mb.iter().fold((false, true), |(any, all), &m| {
+            let kept = m > MASKED;
+            (any | kept, all & kept)
         });
         if all {
             packed.extend_from_slice(block);
-            live.extend(r0 as u32..(r0 + kb.len()) as u32);
+            live.extend(r0 as u32..(r0 + mb.len()) as u32);
             continue;
         }
         if !any && or_bits(block) == 0 {
             continue;
         }
-        for (i, (row, &k)) in block.chunks_exact(in_dim).zip(kb).enumerate() {
-            if kept(k) || or_bits(row) != 0 {
+        for (i, (row, &m)) in block.chunks_exact(in_dim).zip(mb).enumerate() {
+            if m > MASKED || or_bits(row) != 0 {
                 packed.extend_from_slice(row);
                 live.push((r0 + i) as u32);
             }
@@ -228,14 +227,7 @@ pub fn kernel_forward(
     let mut packed = std::mem::take(&mut scratch.x);
     let mut live = std::mem::take(&mut scratch.live);
     let mut scores = std::mem::take(&mut scratch.c);
-    pack_live_rows(
-        x,
-        mlp.in_dim(),
-        masks,
-        |m| m > MASKED,
-        &mut packed,
-        &mut live,
-    );
+    pack_live_rows(x, mlp.in_dim(), masks, &mut packed, &mut live);
     // Size the layer buffers for the dense row count once, so a later
     // call with more live rows never regrows them.
     let widest = mlp.layers.iter().map(Dense::out_dim).max().unwrap_or(1);
@@ -542,7 +534,7 @@ fn exp_above_underflow(x: f32) -> f32 {
 }
 
 /// Numerically-stabilized log-softmax of one row, in place. Shares
-/// [`log_sum_exp`] with the tape's [`crate::Graph::log_softmax`], so the
+/// `log_sum_exp` with the tape's [`crate::Graph::log_softmax`], so the
 /// two agree bit for bit.
 pub fn log_softmax_inplace(row: &mut [f32]) {
     let lse = log_sum_exp(row);

@@ -184,31 +184,6 @@ proptest! {
             }
         }
 
-        // A minibatch drawn with repeats from the batch's packed live
-        // rows scores exactly like its gathered observations.
-        let idx: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
-        let pick = |src: &[f32], w: usize| -> Vec<f32> {
-            idx.iter().flat_map(|&i| src[i * w..(i + 1) * w].to_vec()).collect()
-        };
-        let (mobs, mmasks) = (pick(&c.obs, k * f), pick(&c.masks, k));
-        let macts: Vec<usize> = idx.iter().map(|&i| c.actions[i]).collect();
-        let mut live = fused::LiveRows::new();
-        live.pack(&p, &c.obs, &c.masks);
-        let mut dense = FusedScratch::new();
-        fused::policy_forward(&p, &mobs, &mmasks, &macts, n, &mut dense);
-        fused::policy_forward_live(&p, &live, &idx, &mmasks, &macts, &mut s);
-        prop_assert_eq!(bits(s.logp_all()), bits(dense.logp_all()), "live-row log-probs");
-        let madv: Vec<f32> = idx.iter().map(|&i| c.advantages[i]).collect();
-        let mold: Vec<f32> = idx.iter().map(|&i| c.logp_old[i]).collect();
-        for scratch in [&mut dense, &mut s] {
-            fused::policy_backward_scaled(
-                &p, &mobs, &macts, &madv, &mold, clip, ent_coef, n, total, scratch,
-            );
-        }
-        for (g, r) in s.grads().iter().zip(dense.grads()) {
-            prop_assert_eq!(bits(g.data()), bits(r.data()), "live-row grads");
-        }
-
         // The inference forward: one view at a time (the single-decision
         // path) and all views stacked (the batched path) both give the
         // tape's scores, and so its masked log-probs.

@@ -11,9 +11,7 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use rlsched_nn::{
-    clip_global_norm, fused, simd, Adam, Graph, Mlp, ParamBinds, Scratch, Tensor, Var,
-};
+use rlsched_nn::{clip_global_norm, fused, Adam, Graph, Mlp, ParamBinds, Scratch, Tensor, Var};
 
 use crate::buffer::Batch;
 use crate::categorical::MaskedCategorical;
@@ -289,9 +287,8 @@ pub struct UpdateStats {
 /// attributable).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UpdateProfile {
-    /// Per-batch preparation (observation extents, a kernel head's
-    /// packed live rows), the minibatch index draw, and the row gather
-    /// into each chunk's staging buffers (one fan-out over the chunks).
+    /// The minibatch index draw and the row gather into each chunk's
+    /// staging buffers (one fan-out over the chunks).
     pub gather: Duration,
     /// Actor/critic forward passes over every chunk (tape: graph build
     /// + eager eval, loss tail included).
@@ -336,12 +333,6 @@ pub struct Ppo<P: PolicyModel, V: ValueModel> {
     /// The current iteration's drawn minibatch row indices (empty when
     /// the iteration runs on the whole batch).
     drawn: Vec<usize>,
-    /// Per batch row, the observation's length without its trailing zeros
-    /// (padding slots): the minibatch gather copies only that much.
-    obs_extent: Vec<usize>,
-    /// The batch's live job rows, packed once per update for a fused
-    /// kernel-head policy.
-    live_rows: fused::LiveRows,
 }
 
 impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
@@ -367,8 +358,6 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             pi_chunks: Vec::new(),
             vf_chunks: Vec::new(),
             drawn: Vec::new(),
-            obs_extent: Vec::new(),
-            live_rows: fused::LiveRows::new(),
         }
     }
 
@@ -486,7 +475,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
     /// loss partials in chunk order. The chunk backend is the tape-free
     /// fused kernels ([`rlsched_nn::fused`], chunks spread over the rayon
     /// shim's workers, zero heap allocation at steady state; a kernel
-    /// head scores the batch's live job rows, packed once per update)
+    /// head scores only its live job rows)
     /// when both networks support them, and otherwise (or under
     /// `RLSCHED_FORCE_TAPE=1`) a per-chunk autodiff [`Graph`]. The
     /// result is bit-identical across backends and at every worker
@@ -528,31 +517,11 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             pi_chunks,
             vf_chunks,
             drawn,
-            obs_extent,
-            live_rows,
         } = self;
-
-        // Per-batch preparation, counted as gather: the observation
-        // extents for minibatch gathers, and a fused kernel head's packed
-        // live rows (its iterations then gather no observations).
-        let t0 = Instant::now();
-        if cfg.minibatch.is_some_and(|size| size < batch.len()) {
-            obs_extent.clear();
-            obs_extent.extend(batch.obs.data().chunks_exact(od).map(simd::nonzero_extent));
-        }
-        let pi_live = fused
-            && policy
-                .fused()
-                .is_some_and(|p| matches!(p.head, fused::FusedHead::Kernel { .. }));
-        if let Some(fp) = policy.fused().filter(|_| pi_live) {
-            live_rows.pack(&fp, batch.obs.data(), batch.masks.data());
-        }
-        let pi_obs = (!pi_live).then_some(&obs_extent[..]);
-        prof.gather += t0.elapsed();
 
         for it in 0..cfg.train_pi_iters {
             let t0 = Instant::now();
-            let rows = IterRows::draw(cfg, update_rng, batch, pi_obs, drawn);
+            let rows = IterRows::draw(cfg, update_rng, batch, drawn);
             let n = rows.len();
             let chunks = chunks_for(pi_chunks, n, fused);
             rows.gather(chunks);
@@ -562,14 +531,8 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
             match &fp {
                 Some(fp) => par_chunks(chunks, |c, chunk| {
                     let v = rows.chunk(c, &chunk.staged, od, na);
-                    let s = chunk.state.fused();
-                    if pi_live {
-                        let idx = rows.indices(c);
-                        fused::policy_forward_live(fp, live_rows, idx, v.masks, v.actions, s);
-                    } else {
-                        let m = v.actions.len();
-                        fused::policy_forward(fp, v.obs, v.masks, v.actions, m, s);
-                    }
+                    let m = v.actions.len();
+                    fused::policy_forward(fp, v.obs, v.masks, v.actions, m, chunk.state.fused());
                 }),
                 None => {
                     for (c, chunk) in chunks.iter_mut().enumerate() {
@@ -649,7 +612,7 @@ impl<P: PolicyModel, V: ValueModel> Ppo<P, V> {
 
         for it in 0..cfg.train_v_iters {
             let t0 = Instant::now();
-            let rows = IterRows::draw(cfg, update_rng, batch, Some(obs_extent), drawn);
+            let rows = IterRows::draw(cfg, update_rng, batch, drawn);
             let n = rows.len();
             let chunks = chunks_for(vf_chunks, n, fused);
             rows.gather(chunks);
@@ -995,10 +958,6 @@ struct IterRows<'a> {
     idx: &'a [usize],
     /// True when `idx` is a drawn minibatch.
     drawn: bool,
-    /// Per batch row, the observation's length without trailing zeros —
-    /// or `None` when the iteration reads no observations (the kernel
-    /// head scores the batch's packed live rows).
-    obs_extent: Option<&'a [usize]>,
 }
 
 impl<'a> IterRows<'a> {
@@ -1009,7 +968,6 @@ impl<'a> IterRows<'a> {
         cfg: &PpoConfig,
         rng: &mut rand::rngs::StdRng,
         batch: &'a Batch,
-        obs_extent: Option<&'a [usize]>,
         idx: &'a mut Vec<usize>,
     ) -> Self {
         let n = batch.len();
@@ -1024,21 +982,11 @@ impl<'a> IterRows<'a> {
                 false
             }
         };
-        IterRows {
-            batch,
-            idx,
-            drawn,
-            obs_extent,
-        }
+        IterRows { batch, idx, drawn }
     }
 
     fn len(&self) -> usize {
         self.idx.len()
-    }
-
-    /// Chunk `c`'s batch rows.
-    fn indices(&self, c: usize) -> &'a [usize] {
-        &self.idx[chunk_range(c, self.idx.len())]
     }
 
     /// Gather every chunk's drawn rows into its staging buffers, each on
@@ -1047,9 +995,8 @@ impl<'a> IterRows<'a> {
     fn gather(&self, chunks: &mut [Chunk]) {
         if self.drawn {
             par_chunks(chunks, |c, chunk| {
-                chunk
-                    .staged
-                    .fill(self.batch, self.obs_extent, self.indices(c));
+                let idx = &self.idx[chunk_range(c, self.idx.len())];
+                chunk.staged.fill(self.batch, idx);
             });
         }
     }
@@ -1110,11 +1057,8 @@ struct MiniBuf {
 }
 
 impl MiniBuf {
-    /// Gather rows `idx` of `batch` into the buffers. An observation is
-    /// copied up to `obs_extent` and zero-filled after it, which gives the
-    /// same bits: what is left out is `+0.0` padding. Without
-    /// `obs_extent` no observation is gathered.
-    fn fill(&mut self, batch: &Batch, obs_extent: Option<&[usize]>, idx: &[usize]) {
+    /// Gather rows `idx` of `batch` into the buffers.
+    fn fill(&mut self, batch: &Batch, idx: &[usize]) {
         let obs_dim = batch.obs.cols();
         let n_actions = batch.masks.cols();
         self.obs.clear();
@@ -1124,12 +1068,8 @@ impl MiniBuf {
         self.returns.clear();
         self.logp_old.clear();
         for &i in idx {
-            if let Some(ext) = obs_extent {
-                let e = ext[i];
-                self.obs
-                    .extend_from_slice(&batch.obs.data()[i * obs_dim..i * obs_dim + e]);
-                self.obs.resize(self.obs.len() + obs_dim - e, 0.0);
-            }
+            self.obs
+                .extend_from_slice(&batch.obs.data()[i * obs_dim..(i + 1) * obs_dim]);
             self.masks
                 .extend_from_slice(&batch.masks.data()[i * n_actions..(i + 1) * n_actions]);
             self.actions.push(batch.actions[i]);

@@ -45,11 +45,11 @@
 //!   arrivals until the configured window elapses or the batch cap is
 //!   reached, and scores the whole stack through one forward.
 //! * **Shutdown**: [`ServerHandle::shutdown`] flips a flag and wakes the
-//!   accept loop, which blocks in `accept`, with a connection of its
-//!   own; parked connection readers are unblocked by
-//!   shutting their streams down, shards drain and exit when every
-//!   sender is gone, and all threads are joined before the call
-//!   returns.
+//!   accept loop, which blocks in `accept`, by shutting the listening
+//!   socket down ([`Listen::accept_waker`]); parked connection readers
+//!   are unblocked by shutting their streams down, shards drain and
+//!   exit when every sender is gone, and all threads are joined before
+//!   the call returns.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener};
@@ -452,6 +452,11 @@ fn finish_spawn<L: Listen>(
     cfg: ServeConfig,
 ) -> std::io::Result<ServerHandle> {
     {
+        let socket_file = match &bound {
+            ServerAddr::Unix(path) => Some(file_id(path)?),
+            ServerAddr::Tcp(_) => None,
+        };
+        let accept_waker = listener.accept_waker()?;
         let slot = ScorerSlot::new(scorer.clone());
         // Each server owns its registry: tests spawning several servers
         // in one process see isolated counters, and a scrape of this
@@ -502,6 +507,7 @@ fn finish_spawn<L: Listen>(
 
         Ok(ServerHandle {
             bound,
+            socket_file,
             slot,
             shared,
             obs_dim: encoder.obs_dim(),
@@ -509,6 +515,7 @@ fn finish_spawn<L: Listen>(
             eval_baseline: Mutex::new(None),
             eval_tolerance: cfg.eval_tolerance,
             accept: Some(accept),
+            accept_waker,
             shard_threads,
             _shard_txs: shard_txs,
         })
@@ -518,6 +525,8 @@ fn finish_spawn<L: Listen>(
 /// A running server: address, stats, checkpoint lifecycle, shutdown.
 pub struct ServerHandle {
     bound: ServerAddr,
+    /// `(device, inode)` of the unix socket file this server bound.
+    socket_file: Option<(u64, u64)>,
     slot: Arc<ScorerSlot>,
     shared: Arc<Shared>,
     obs_dim: usize,
@@ -525,6 +534,8 @@ pub struct ServerHandle {
     eval_baseline: Mutex<Option<f64>>,
     eval_tolerance: f64,
     accept: Option<JoinHandle<()>>,
+    /// Shut down to wake the accept loop ([`Listen::accept_waker`]).
+    accept_waker: AnyStream,
     shard_threads: Vec<JoinHandle<()>>,
     /// Keeps the shard inboxes alive until shutdown drops them.
     _shard_txs: Vec<SyncSender<ShardRequest>>,
@@ -665,14 +676,9 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> ServeStats {
         self.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
-            // The accept loop blocks in `accept`: a connection of our own
-            // wakes it to see the flag. Redial until it exits, in case a
-            // dial fails transiently.
-            let wake = self.bound.loopback();
-            while !h.is_finished() {
-                let _ = AnyStream::dial(&wake);
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            // The accept loop blocks in `accept`: shutting the listening
+            // socket down fails that accept, and the loop sees the flag.
+            self.accept_waker.shutdown_both();
             let _ = h.join();
         }
         // Unblock readers parked on idle connections; joined readers'
@@ -696,12 +702,22 @@ impl ServerHandle {
             let _ = t.join();
         }
         // A Unix socket outlives its listener as a filesystem entry;
-        // remove it so the path can be rebound.
+        // remove it so the path can be rebound — unless another server
+        // has rebound the path since.
         if let ServerAddr::Unix(path) = &self.bound {
-            let _ = std::fs::remove_file(path);
+            if file_id(path).ok() == self.socket_file {
+                let _ = std::fs::remove_file(path);
+            }
         }
         self.shared.stats()
     }
+}
+
+/// `(device, inode)` of the file at `path`.
+fn file_id(path: &std::path::Path) -> std::io::Result<(u64, u64)> {
+    use std::os::unix::fs::MetadataExt;
+    let meta = std::fs::metadata(path)?;
+    Ok((meta.dev(), meta.ino()))
 }
 
 fn accept_loop<L: Listen>(
@@ -715,8 +731,8 @@ fn accept_loop<L: Listen>(
     let mut accept_backoff = base_backoff;
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept_stream() {
-            // The shutdown wake-up (or a client racing it): stop here.
-            Ok(_) if shared.shutdown.load(Ordering::Acquire) => break,
+            // The shutdown wake-up, or a client racing it: stop here.
+            Ok(_) | Err(_) if shared.shutdown.load(Ordering::Acquire) => break,
             Ok(stream) => {
                 accept_backoff = base_backoff;
                 let shard_txs = shard_txs.clone();

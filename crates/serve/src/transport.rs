@@ -22,6 +22,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,7 +115,8 @@ impl Transport for UnixStream {
 
 /// What a [`crate::ServeConfig`] binds: a TCP bind string (port 0 picks
 /// a free port) or a Unix-socket path (a stale file at that path is
-/// removed before binding; the server removes it again on shutdown).
+/// removed before binding; the server removes it again on shutdown,
+/// unless another server has rebound the path since).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ListenAddr {
     /// A `host:port` bind string, e.g. `"127.0.0.1:0"`.
@@ -164,24 +166,6 @@ pub enum ServerAddr {
     Tcp(SocketAddr),
     /// The Unix-socket path.
     Unix(PathBuf),
-}
-
-impl ServerAddr {
-    /// The address a process on this host dials to reach the server: a
-    /// wildcard TCP bind (`0.0.0.0` / `::`) becomes the loopback address
-    /// of its family.
-    pub(crate) fn loopback(&self) -> ServerAddr {
-        match self {
-            ServerAddr::Tcp(a) if a.ip().is_unspecified() => {
-                let ip: std::net::IpAddr = match a {
-                    SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-                    SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-                };
-                ServerAddr::Tcp(SocketAddr::new(ip, a.port()))
-            }
-            other => other.clone(),
-        }
-    }
 }
 
 impl std::fmt::Display for ServerAddr {
@@ -283,6 +267,13 @@ pub trait Listen: Send + 'static {
 
     /// Accept one connection, blocking until one arrives.
     fn accept_stream(&self) -> std::io::Result<Self::Stream>;
+
+    /// A duplicate of the listening socket, typed as a stream so it can
+    /// be shut down. On Linux, [`Transport::shutdown_both`] on it makes
+    /// a blocked [`Listen::accept_stream`], and every later one, fail at
+    /// once — whatever has become of the address the listener was bound
+    /// to (a unix socket path may be unlinked or rebound by then).
+    fn accept_waker(&self) -> std::io::Result<AnyStream>;
 }
 
 impl Listen for TcpListener {
@@ -291,6 +282,11 @@ impl Listen for TcpListener {
     fn accept_stream(&self) -> std::io::Result<TcpStream> {
         self.accept().map(|(s, _peer)| s)
     }
+
+    fn accept_waker(&self) -> std::io::Result<AnyStream> {
+        let fd = OwnedFd::from(self.try_clone()?);
+        Ok(AnyStream::Tcp(TcpStream::from(fd)))
+    }
 }
 
 impl Listen for UnixListener {
@@ -298,6 +294,11 @@ impl Listen for UnixListener {
 
     fn accept_stream(&self) -> std::io::Result<UnixStream> {
         self.accept().map(|(s, _peer)| s)
+    }
+
+    fn accept_waker(&self) -> std::io::Result<AnyStream> {
+        let fd = OwnedFd::from(self.try_clone()?);
+        Ok(AnyStream::Unix(UnixStream::from(fd)))
     }
 }
 

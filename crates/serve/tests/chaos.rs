@@ -760,6 +760,65 @@ fn idle_accept_loop_sleeps_and_shutdown_is_prompt() {
     }
 }
 
+/// Shutdown does not go through the socket path: it returns promptly
+/// after the path was unlinked, or rebound by a successor server (a
+/// blue/green restart), and it leaves the successor's socket serving.
+#[cfg(unix)]
+#[test]
+fn shutdown_is_prompt_after_the_socket_path_is_unlinked_or_rebound() {
+    let agent = agent_for(16, 3);
+    let canary = CanaryBatch::probe(&agent, 2, 43);
+    let spawn = |addr: &ListenAddr| {
+        Server::spawn(
+            agent.scorer_snapshot(),
+            *agent.encoder(),
+            ServeConfig {
+                addr: addr.clone(),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("server spawns")
+    };
+    // Shut down on a helper thread so a hang fails the test instead of
+    // stalling it.
+    let prompt_shutdown = |handle: rlsched_serve::ServerHandle, what: &str| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(handle.shutdown());
+        });
+        let stats = rx
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("{what}: shutdown did not return within 2 s"));
+        assert_eq!(
+            stats.accept_failures, 0,
+            "{what}: the wake-up is no failure"
+        );
+    };
+
+    let addr = ListenAddr::unix_temp("chaos-unlinked");
+    let ListenAddr::Unix(path) = &addr else {
+        unreachable!("unix_temp binds a path")
+    };
+    let old = spawn(&addr);
+    let idle = old.connect().expect("client connects");
+    std::fs::remove_file(path).expect("socket file unlinks");
+    prompt_shutdown(old, "unlinked path");
+    drop(idle);
+
+    let addr = ListenAddr::unix_temp("chaos-rebound");
+    let old = spawn(&addr);
+    let new = spawn(&addr);
+    prompt_shutdown(old, "rebound path");
+    let mut client = new
+        .connect()
+        .expect("the successor's socket outlives its predecessor's shutdown");
+    let (obs, mask, queue_len, expected) = canary.row(0);
+    let d = client.score_raw(obs, mask, queue_len).unwrap();
+    assert_eq!((d.action, d.served_by), (expected, ServedBy::Model));
+    drop(client);
+    prompt_shutdown(new, "successor");
+}
+
 /// `(tid, voluntary context switches)` of every `rlsched-serve-accept`
 /// thread in this process (thread names are cut to 15 bytes in `comm`).
 #[cfg(target_os = "linux")]
